@@ -6,7 +6,8 @@
 #   scripts/ci.sh --tsan   # also run the -DVAQ_SANITIZE=thread leg
 #   scripts/ci.sh --asan   # also run the address+UB sanitizer leg
 #   scripts/ci.sh --tidy   # also gate on scripts/lint.sh
-#                          # (clang-tidy over the default dirs)
+#                          # (clang-tidy over the default dirs;
+#                          # reported SKIPPED when not installed)
 #
 # The default ctest run includes every label (robustness, parallel,
 # analysis, store, router, obs, sim, fleet, ...). The TSan leg
@@ -29,6 +30,7 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 RUN_TSAN=0
 RUN_ASAN=0
 RUN_TIDY=0
+TIDY_NOTE=""
 for arg in "$@"; do
     case "$arg" in
     --tsan) RUN_TSAN=1 ;;
@@ -48,10 +50,22 @@ cmake --build build -j "$JOBS"
 if [ "$RUN_TIDY" -eq 1 ]; then
     echo "== tidy leg: scripts/lint.sh over the default dirs =="
     # Gating: clang-tidy findings (profile .clang-tidy, including
-    # the WarningsAsErrors hard gates) fail CI. lint.sh exits 0
-    # with a clear message when clang-tidy is not installed, so
-    # environments without it skip rather than fail.
-    scripts/lint.sh
+    # the WarningsAsErrors hard gates) fail CI. lint.sh exits 77
+    # when clang-tidy is not installed; that leg never ran, so it is
+    # reported as skipped, not passed.
+    TIDY_STATUS=0
+    scripts/lint.sh || TIDY_STATUS=$?
+    case "$TIDY_STATUS" in
+    0) echo "tidy leg: PASSED" ;;
+    77)
+        TIDY_NOTE=" (tidy leg: SKIPPED, clang-tidy not installed)"
+        echo "tidy leg: SKIPPED (clang-tidy not installed)"
+        ;;
+    *)
+        echo "tidy leg: FAILED (lint.sh exit $TIDY_STATUS)" >&2
+        exit "$TIDY_STATUS"
+        ;;
+    esac
 fi
 
 echo "== tier-1: full test suite (all labels) =="
@@ -152,4 +166,4 @@ if [ "$RUN_ASAN" -eq 1 ]; then
         -j "$JOBS"
 fi
 
-echo "ci: all legs passed"
+echo "ci: all legs passed$TIDY_NOTE"

@@ -8,9 +8,10 @@
 #                                  # src/analysis
 #   scripts/lint.sh src/store      # lint specific director(y/ies)
 #
-# Exits 0 when clang-tidy finds nothing (or is not installed —
-# reported clearly, so CI environments without it skip instead of
-# failing), non-zero on findings.
+# Exit status: 0 when clang-tidy ran and found nothing, 77 when
+# clang-tidy is not installed (nothing ran: callers report the leg as
+# skipped, never as passed), any other non-zero status on findings or
+# errors.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,8 +29,8 @@ if [ -z "$TIDY" ]; then
 fi
 if [ -z "$TIDY" ]; then
     echo "lint: clang-tidy not found on PATH (set CLANG_TIDY to" \
-        "override); skipping" >&2
-    exit 0
+        "override); skipped, nothing was checked" >&2
+    exit 77
 fi
 
 if [ ! -f build/compile_commands.json ]; then

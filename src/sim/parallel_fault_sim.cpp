@@ -140,14 +140,12 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
     OutcomeSimResult result;
 
     // Engine resolution: Auto/PauliFrame build the frame engine and
-    // take its fast path when the circuit qualifies; Dense (and any
-    // frame fallback) runs dense trajectory shots off the same
-    // NoiseScript stream.
+    // take its fast path when the circuit qualifies; a frame
+    // fallback's runShot() is a dense trajectory shot over the
+    // engine's own NoiseScript. Only Dense compiles a script here.
     std::optional<PauliFrameSim> frame;
     if (options.engine != SimEngine::Dense) {
-        PauliFrameOptions frameOptions;
-        frameOptions.trajectory = trajectory;
-        frame.emplace(physical, model, frameOptions);
+        frame.emplace(physical, model, trajectory);
         result.gates = frame->gateCounts();
         result.framePath = frame->framePath();
         if (!result.framePath) {
@@ -192,7 +190,7 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
     };
 
     NoiseScript denseScript;
-    if (!result.framePath)
+    if (!frame)
         denseScript =
             NoiseScript::compile(physical, model, trajectory);
 
@@ -237,10 +235,9 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
             ChunkOutput &out = outputs[i];
             for (std::size_t t = 0; t < n; ++t) {
                 const std::uint64_t outcome =
-                    result.framePath
-                        ? frame->runShot(rng)
-                        : denseTrajectoryShot(physical,
-                                              denseScript, rng);
+                    frame ? frame->runShot(rng)
+                          : denseTrajectoryShot(physical,
+                                                denseScript, rng);
                 ++out.counts[outcome];
                 const bool ok = accepts(outcome);
                 ++out.tally.trials;

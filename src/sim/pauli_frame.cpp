@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 #include "sim/fault_sim.hpp"
-#include "sim/statevector.hpp"
 
 namespace vaq::sim
 {
@@ -449,12 +448,11 @@ StabilizerTableau::support() const
 
 PauliFrameSim::PauliFrameSim(const Circuit &physical,
                              const NoiseModel &model,
-                             const PauliFrameOptions &options)
-    : _physical(physical), _options(options),
-      _script(NoiseScript::compile(physical, model,
-                                   options.trajectory))
+                             const TrajectoryOptions &trajectory)
+    : _physical(physical), _trajectory(trajectory),
+      _script(NoiseScript::compile(physical, model, trajectory))
 {
-    require(options.trajectory.shots > 0, "need at least one shot");
+    require(trajectory.shots > 0, "need at least one shot");
     checkExecutable(physical, model);
     _counts = countCliffordGates(physical);
 
@@ -514,27 +512,6 @@ PauliFrameSim::PauliFrameSim(const Circuit &physical,
     StabilizerTableau tableau(physical.numQubits());
     tableau.applyUnitaries(physical);
     _support = tableau.support();
-
-    // Prefer the dense reference when feasible: its per-shot walk
-    // replays the dense sampler's exact float subtractions, making
-    // frame trials bit-identical to dense trials.
-    _reference = FrameReference::Tableau;
-    if (physical.numQubits() <=
-        std::min(options.denseReferenceMaxQubits, 27)) {
-        StateVector ideal(physical.numQubits());
-        ideal.applyUnitaries(physical);
-        std::vector<std::pair<std::uint64_t, double>> entries;
-        const std::uint64_t dim = ideal.dimension();
-        for (std::uint64_t s = 0; s < dim; ++s) {
-            const double p = ideal.probability(s);
-            if (p != 0.0)
-                entries.push_back({s, p});
-        }
-        if (entries.size() <= options.maxDenseSupport) {
-            _denseRef = std::move(entries);
-            _reference = FrameReference::DenseAmplitudes;
-        }
-    }
 }
 
 const AffineSupport &
@@ -548,30 +525,9 @@ PauliFrameSim::idealSupport() const
 std::uint64_t
 PauliFrameSim::sampleIdeal(Rng &rng, std::uint64_t frameX) const
 {
-    if (_reference == FrameReference::DenseAmplitudes) {
-        // Replay StateVector::sample()'s walk over the XOR-permuted
-        // ideal probabilities: visit the shifted support ascending,
-        // subtract the same doubles, keep the dim-1 fallback (the
-        // dense loop never compares against the last index).
-        double r = rng.uniform();
-        const std::uint64_t dim = 1ULL << _physical.numQubits();
-        std::vector<std::pair<std::uint64_t, double>> shifted;
-        shifted.reserve(_denseRef.size());
-        for (const auto &[s, p] : _denseRef)
-            shifted.push_back({s ^ frameX, p});
-        std::sort(shifted.begin(), shifted.end());
-        for (const auto &[t, p] : shifted) {
-            if (t == dim - 1)
-                continue;
-            if (r < p)
-                return t;
-            r -= p;
-        }
-        return dim - 1;
-    }
-
-    // Tableau reference: outcomes are uniform over the shifted
-    // support; one uniform draw picks the m-th smallest element.
+    // Outcomes are uniform over the shifted support: the dense
+    // sampler's subtraction walk lands on its floor(r * 2^k)-th
+    // ascending element, which elementAt() indexes directly.
     const double r = rng.uniform();
     const std::size_t k = _support.dimension();
     std::uint64_t m = 0;
@@ -611,9 +567,9 @@ PauliFrameSim::run() const
     require(_script.measuredMask != 0,
             "program measures no qubits");
     ShotCounts result;
-    result.shots = _options.trajectory.shots;
+    result.shots = _trajectory.shots;
     result.measuredMask = _script.measuredMask;
-    Rng rng(_options.trajectory.seed);
+    Rng rng(_trajectory.seed);
     for (std::size_t shot = 0; shot < result.shots; ++shot)
         ++result.counts[runShot(rng)];
     if (_framePath && obs::enabled())

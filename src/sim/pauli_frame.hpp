@@ -11,9 +11,8 @@
  * costs O(gates) instead of O(gates * 2^n), unlocking PST estimation
  * at Falcon-27 scale.
  *
- * The frame path is engineered to be *bit-exactly* equal to the
- * dense engine per trial at matched seeds, not merely statistically
- * equivalent:
+ * The frame path agrees with the dense engine per trial at matched
+ * seeds, not merely statistically:
  *  - both engines consume randomness through the same NoiseScript
  *    samplers, so the injected Paulis and their order are identical;
  *  - interleaved Pauli injections commute through the dense engine's
@@ -22,16 +21,14 @@
  *    addition is commutative, negation exact, std::norm invariant
  *    under those phases), so the dense noisy probability vector is
  *    the ideal one XOR-permuted by the frame's X mask, bitwise;
- *  - the frame path replays StateVector::sample()'s exact
- *    subtraction walk over that permuted vector using amplitudes
- *    from a single ideal dense run (FrameReference::DenseAmplitudes).
- * Beyond the dense envelope (width or support too large) sampling
- * switches to an exact stabilizer-tableau description of the ideal
- * state (FrameReference::Tableau): the support of a stabilizer
- * state is an affine subspace offset ^ span(basis) with uniform
- * 2^-k outcome probabilities, sampled directly. There is no dense
- * run to compare against at those widths; cross-validation there is
- * statistical (tests/sim/test_frame_vs_dense.cpp).
+ *  - the ideal state is a stabilizer state, whose support is an
+ *    affine subspace offset ^ span(basis) of dimension k with
+ *    uniform 2^-k outcome probabilities (StabilizerTableau). The
+ *    dense sampler's subtraction walk over the shifted support picks
+ *    its floor(r * 2^k)-th ascending element; the frame path picks
+ *    the same element directly off the tableau, in O(k).
+ * The two picks can differ only when the shot's uniform r lies
+ * within float rounding of a multiple of 2^-k.
  *
  * Circuits containing non-Clifford gates fall back to the dense
  * trajectory shot (same NoiseScript, same stream), counted in
@@ -157,9 +154,8 @@ struct AffineSupport
 
 /**
  * Aaronson-Gottesman stabilizer tableau over <= 64 qubits: n
- * generator rows, each a sign bit plus packed X/Z bitmasks. Used to
- * derive the exact ideal support where the dense reference is
- * infeasible, and to cross-check the dense support in tests.
+ * generator rows, each a sign bit plus packed X/Z bitmasks. Yields
+ * the exact ideal support every frame-path shot samples from.
  */
 class StabilizerTableau
 {
@@ -195,43 +191,21 @@ class StabilizerTableau
     std::vector<Row> _rows;
 };
 
-/** How frame-path trials turn a frame into an outcome. */
-enum class FrameReference
-{
-    /** Replay of the dense sampler's float walk over one ideal
-     *  dense run — bit-exact vs. the dense engine. */
-    DenseAmplitudes,
-    /** Exact stabilizer support with uniform outcome weights —
-     *  used beyond the dense envelope. */
-    Tableau,
-};
-
-/** Knobs of the frame engine. */
-struct PauliFrameOptions
-{
-    /** Shot count, seed, readout/crosstalk toggles — shared with
-     *  the dense engine so streams match. */
-    TrajectoryOptions trajectory;
-    /** Widest circuit sampled against a dense ideal reference. */
-    int denseReferenceMaxQubits = 20;
-    /** Largest ideal support replayed densely per shot; bigger
-     *  supports switch to the tableau reference. */
-    std::size_t maxDenseSupport = 4096;
-};
-
 /**
  * The per-trial engine. Construction classifies the circuit, builds
- * the frame stream and the ideal reference (one dense run and/or a
- * tableau); each trial is then O(gates + support). The referenced
- * circuit and model must outlive the engine. runShot() is const and
- * safe to call concurrently with distinct Rng streams.
+ * the frame stream and the ideal support from a stabilizer tableau;
+ * each trial is then O(gates + k). The referenced circuit and model
+ * must outlive the engine. runShot() is const and safe to call
+ * concurrently with distinct Rng streams.
  */
 class PauliFrameSim
 {
   public:
+    /** `trajectory` (shot count, seed, readout/crosstalk toggles)
+     *  is shared with the dense engine so streams match. */
     PauliFrameSim(const circuit::Circuit &physical,
                   const NoiseModel &model,
-                  const PauliFrameOptions &options = {});
+                  const TrajectoryOptions &trajectory = {});
 
     /** True when trials run on the frame fast path. */
     bool framePath() const { return _framePath; }
@@ -242,10 +216,6 @@ class PauliFrameSim
     {
         return _fallbackReason;
     }
-
-    /** Sampling reference of the frame path (meaningless when
-     *  framePath() is false). */
-    FrameReference reference() const { return _reference; }
 
     const FrameCounts &gateCounts() const { return _counts; }
 
@@ -270,25 +240,20 @@ class PauliFrameSim
     std::uint64_t runShot(Rng &rng) const;
 
     /** TrajectorySimulator-compatible histogram run:
-     *  options.trajectory.shots trials from a fresh
-     *  Rng(options.trajectory.seed). */
+     *  trajectory.shots trials from a fresh Rng(trajectory.seed). */
     ShotCounts run() const;
 
   private:
     std::uint64_t sampleIdeal(Rng &rng, std::uint64_t frameX) const;
 
     const circuit::Circuit &_physical;
-    PauliFrameOptions _options;
+    TrajectoryOptions _trajectory;
     NoiseScript _script;
     FrameCounts _counts;
     bool _framePath = false;
     std::string _fallbackReason;
-    FrameReference _reference = FrameReference::Tableau;
     FrameStream _stream;
     AffineSupport _support;
-    /** DenseAmplitudes reference: (basis state, probability) pairs
-     *  of every non-zero ideal probability, ascending state. */
-    std::vector<std::pair<std::uint64_t, double>> _denseRef;
 };
 
 } // namespace vaq::sim

@@ -4,13 +4,15 @@
  * dense trajectory engine.
  *
  * The contract has three tiers, each asserted here:
- *  - per-trial *bit-exact* agreement at matched seeds whenever the
- *    frame path uses the dense-amplitude reference (both engines
- *    consume the same NoiseScript stream and the frame path replays
- *    the dense sampler's float walk);
- *  - statistical (Wilson-interval) agreement when the frame path is
- *    forced onto the stabilizer-tableau reference, whose per-trial
- *    draws map differently onto outcomes;
+ *  - per-trial *bit-exact* agreement at matched seeds, from 3 up to
+ *    20 qubits: both engines consume the same NoiseScript stream,
+ *    and both pick the floor(r * 2^k)-th ascending element of the
+ *    frame-shifted ideal support (the dense engine by its float
+ *    subtraction walk, the frame engine off the stabilizer tableau),
+ *    so they could only differ were r within float rounding of a
+ *    multiple of 2^-k;
+ *  - statistical (Wilson-interval) agreement of the histogram runs
+ *    of the two engines;
  *  - exact fallback equivalence on non-Clifford circuits, where the
  *    frame engine *is* the dense engine.
  * The outcome-checked parallel runs on both engines must in
@@ -79,12 +81,8 @@ expectBitExact(const Circuit &physical, const NoiseModel &model,
                const TrajectoryOptions &trajectory,
                std::size_t trials)
 {
-    PauliFrameOptions options;
-    options.trajectory = trajectory;
-    const PauliFrameSim sim(physical, model, options);
+    const PauliFrameSim sim(physical, model, trajectory);
     ASSERT_TRUE(sim.framePath()) << sim.fallbackReason();
-    ASSERT_EQ(sim.reference(), FrameReference::DenseAmplitudes)
-        << "bit-exactness only holds on the dense reference";
 
     const NoiseScript script =
         NoiseScript::compile(physical, model, trajectory);
@@ -119,6 +117,26 @@ TEST(FrameVsDense, BitExactPerTrialOnCliffordWorkloads)
         const NoiseModel model(graph, snap);
         expectBitExact(workloads::triSwap(), model, trajectory,
                        3000);
+    }
+    // 13-20 qubits. A dense shot costs O(gates * 2^n) here, hence
+    // the smaller trial counts. The random circuit gives the output
+    // draw a multi-element support to index.
+    {
+        const auto graph = topology::fullyConnected(16);
+        const auto snap = test::uniformSnapshot(graph);
+        const NoiseModel model(graph, snap);
+        expectBitExact(workloads::ghz(16), model, trajectory, 400);
+        Rng corpusRng(16);
+        expectBitExact(
+            test::randomCliffordCircuit(graph, 48, corpusRng, 10),
+            model, trajectory, 60);
+    }
+    {
+        const auto graph = topology::fullyConnected(20);
+        const auto snap = test::uniformSnapshot(graph);
+        const NoiseModel model(graph, snap);
+        expectBitExact(workloads::bernsteinVazirani(20), model,
+                       trajectory, 6);
     }
 }
 
@@ -164,11 +182,9 @@ TEST(FrameVsDense, BitExactWithCrosstalkAndNoReadout)
 
 TEST(FrameVsDense, TableauReferenceAgreesWithinWilsonInterval)
 {
-    // Forcing denseReferenceMaxQubits to 0 pushes the frame path
-    // onto the stabilizer-tableau reference even at widths where a
-    // dense reference exists, so the two samplers can be compared:
-    // outcomes differ per trial (different draw-to-outcome maps) but
-    // the PST estimates must agree statistically.
+    // The histogram runs of the two engines (PauliFrameSim::run and
+    // TrajectorySimulator::run) must give PST estimates that agree
+    // statistically.
     const auto graph = topology::ibmQ5Tenerife();
     const auto snap = test::uniformSnapshot(graph);
     const NoiseModel model(graph, snap);
@@ -181,12 +197,8 @@ TEST(FrameVsDense, TableauReferenceAgreesWithinWilsonInterval)
     trajectory.shots = trials;
     trajectory.seed = 5;
 
-    PauliFrameOptions frameOptions;
-    frameOptions.trajectory = trajectory;
-    frameOptions.denseReferenceMaxQubits = 0;
-    const PauliFrameSim sim(c, model, frameOptions);
+    const PauliFrameSim sim(c, model, trajectory);
     ASSERT_TRUE(sim.framePath());
-    ASSERT_EQ(sim.reference(), FrameReference::Tableau);
 
     const std::vector<std::uint64_t> accept = idealOutcomes(c);
     const double framePst =

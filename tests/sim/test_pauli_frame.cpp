@@ -482,9 +482,9 @@ TEST(PauliFrameSimTest, RunMatchesShotCountAndMask)
         b.h(0).cx(0, 1).cx(1, 2).measureAll();
         return b;
     }();
-    PauliFrameOptions options;
-    options.trajectory.shots = 2000;
-    const PauliFrameSim sim(c, model, options);
+    TrajectoryOptions trajectory;
+    trajectory.shots = 2000;
+    const PauliFrameSim sim(c, model, trajectory);
     const ShotCounts counts = sim.run();
     EXPECT_EQ(counts.shots, 2000u);
     EXPECT_EQ(counts.measuredMask, sim.measuredMask());

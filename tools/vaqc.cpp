@@ -1093,9 +1093,10 @@ run(const Options &options)
                       << " (outcome-checked, " << checked.trials
                       << " trials)\n";
         } catch (const VaqError &e) {
-            // The outcome-checked report is additive: a program
-            // outside its envelope (too wide for a reference, no
-            // measurements) degrades to a note, not a failure.
+            // The outcome-checked report is additive: a program it
+            // cannot check (non-Clifford and too wide for the dense
+            // fallback, no measurements, an accept set covering most
+            // outcomes) degrades to a note, not a failure.
             std::cout << "sim-engine: skipped (" << e.message()
                       << ")\n";
         }
