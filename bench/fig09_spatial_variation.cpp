@@ -33,10 +33,12 @@ main()
               });
     for (std::size_t rank = 0; rank < order.size(); ++rank) {
         const auto &link = env.machine.links()[order[rank]];
+        std::string name = "Q";
+        name += std::to_string(link.a);
+        name += "-Q";
+        name += std::to_string(link.b);
         table.addRow(
-            {"Q" + std::to_string(link.a) + "-Q" +
-                 std::to_string(link.b),
-             formatDouble(snap.linkError(order[rank]), 3),
+            {name, formatDouble(snap.linkError(order[rank]), 3),
              rank == 0 ? "weakest"
                        : (rank + 1 == order.size() ? "strongest"
                                                    : "")});

@@ -8,6 +8,8 @@
 #   scripts/ci.sh --tidy   # also gate on scripts/lint.sh
 #                          # (clang-tidy over the default dirs;
 #                          # reported SKIPPED when not installed)
+#   scripts/ci.sh --werror # also build every target with
+#                          # -DVAQ_WERROR=ON into build-werror/
 #
 # The default ctest run includes every label (robustness, parallel,
 # analysis, store, router, obs, sim, fleet, ...). The TSan leg
@@ -30,14 +32,16 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 RUN_TSAN=0
 RUN_ASAN=0
 RUN_TIDY=0
+RUN_WERROR=0
 TIDY_NOTE=""
 for arg in "$@"; do
     case "$arg" in
     --tsan) RUN_TSAN=1 ;;
     --asan) RUN_ASAN=1 ;;
     --tidy) RUN_TIDY=1 ;;
+    --werror) RUN_WERROR=1 ;;
     *)
-        echo "usage: scripts/ci.sh [--tsan] [--asan] [--tidy]" >&2
+        echo "usage: scripts/ci.sh [--tsan] [--asan] [--tidy] [--werror]" >&2
         exit 2
         ;;
     esac
@@ -129,6 +133,15 @@ kill -TERM "$VAQD_PID"
 wait "$VAQD_PID"
 trap - EXIT
 echo "ci: vaqd smoke passed (port $VAQD_PORT)"
+
+if [ "$RUN_WERROR" -eq 1 ]; then
+    echo "== werror leg: -DVAQ_WERROR=ON, build every target =="
+    # Gating: any -Wall -Wextra warning in src, tools, tests, bench
+    # or examples fails the build and therefore CI.
+    cmake -B build-werror -S . -DVAQ_WERROR=ON >/dev/null
+    cmake --build build-werror -j "$JOBS"
+    echo "werror leg: PASSED"
+fi
 
 if [ "$RUN_TSAN" -eq 1 ]; then
     echo "== tsan leg: -DVAQ_SANITIZE=thread, ctest -L parallel|analysis|store|sim|service|fleet =="

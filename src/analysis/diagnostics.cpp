@@ -40,7 +40,10 @@ jsonEscape(const std::string &s)
 std::string
 quoted(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 /** SARIF result level for a severity. */

@@ -238,8 +238,8 @@ class UncoupledCxRule final : public AnalysisRule
                 continue;
             out.push_back(make(
                 context,
-                "'" + circuit::gateName(g.kind) + "' on qubits " +
-                    std::to_string(g.q0) + " and " +
+                std::string("'") + circuit::gateName(g.kind) +
+                    "' on qubits " + std::to_string(g.q0) + " and " +
                     std::to_string(g.q1) +
                     ", which share no coupling link on " +
                     context.graph->name(),

@@ -161,9 +161,16 @@ analyzeSensitivity(const DataflowAnalysis &dataflow,
         profile.links.push_back(record);
     }
 
-    // The closed-form log PST. log1p keeps the small-error regime
-    // exact; a dead parameter (error rate 1) yields -inf, matching
-    // the product form's exact zero.
+    profile.logPst = closedFormLogPst(profile);
+    return profile;
+}
+
+double
+closedFormLogPst(const SensitivityProfile &profile)
+{
+    // log1p keeps the small-error regime exact; a dead parameter
+    // (error rate 1) yields -inf, matching the product form's exact
+    // zero.
     double logPst = 0.0;
     for (const QubitSensitivity &q : profile.qubits) {
         if (q.oneQubitGates > 0.0)
@@ -174,8 +181,7 @@ analyzeSensitivity(const DataflowAnalysis &dataflow,
     }
     for (const LinkSensitivity &l : profile.links)
         logPst += l.effectiveGates * std::log1p(-l.error2q);
-    profile.logPst = logPst;
-    return profile;
+    return logPst;
 }
 
 } // namespace vaq::analysis

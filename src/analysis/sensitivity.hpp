@@ -130,6 +130,11 @@ analyzeSensitivity(const DataflowAnalysis &dataflow,
                    const topology::CouplingGraph &graph,
                    const calibration::Snapshot &snapshot);
 
+/** The closed-form log PST of a profile's usage weights and
+ *  baseline values — what analyzeSensitivity() stores in logPst
+ *  (also rebuilds it for a profile read back from a record). */
+double closedFormLogPst(const SensitivityProfile &profile);
+
 } // namespace vaq::analysis
 
 #endif // VAQ_ANALYSIS_SENSITIVITY_HPP

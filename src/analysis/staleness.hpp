@@ -31,7 +31,10 @@
  * rounding per operation, so the gap grows with the op count. The
  * slack is zero when *nothing* the profile depends on changed — a
  * bit-identical recompute yields a bit-identical product — so a
- * zero bound degenerates exactly to the PR-6 touched-set rule.
+ * bound of exactly 0 certifies that the stored mapping and PST are
+ * still exact. That is the artifact store's one reuse rule
+ * (store/artifact_store.hpp): bound 0 serves unshifted, a positive
+ * bound within tolerance serves shifted.
  *
  * The certificate is void (bound = +inf) when the model's premises
  * moved: gate durations changed, a touched qubit/link fell outside
@@ -47,13 +50,11 @@
  *
  * T2 never enters: the PerOp coherence model charges T1 only (see
  * sim/noise_model.cpp), so a T2-only calibration change certifies
- * at bound zero — the first strict win over the touched-set rule,
- * which treats any touched-parameter change as a miss.
+ * at bound zero, as does drift in any parameter whose usage weight
+ * is zero.
  */
 #ifndef VAQ_ANALYSIS_STALENESS_HPP
 #define VAQ_ANALYSIS_STALENESS_HPP
-
-#include <cstddef>
 
 #include "analysis/sensitivity.hpp"
 #include "calibration/snapshot.hpp"
@@ -90,34 +91,6 @@ struct StalenessAssessment
     {
         return certifiable && bound() <= tol;
     }
-};
-
-/**
- * Accumulates per-parameter deltas into an assessment. Exposed so
- * the artifact store can assess from its serialized weight arrays
- * without rebuilding a SensitivityProfile; assessStaleness() is the
- * profile-shaped convenience wrapper.
- */
-class StalenessAccumulator
-{
-  public:
-    /** An error-rate parameter (1q, readout or 2q link error) used
-     *  `count` times, moving old_e -> new_e. */
-    void errorParam(double count, double old_e, double new_e);
-
-    /** A coherence parameter: `busy_ns` of exposure on a qubit
-     *  whose T1 moved old_t1_us -> new_t1_us. */
-    void coherenceParam(double busy_ns, double old_t1_us,
-                        double new_t1_us);
-
-    /** Void the certificate (premise violation). */
-    void uncertifiable();
-
-    /** Final assessment; `op_count` sizes the fp headroom. */
-    StalenessAssessment finish(std::size_t op_count) const;
-
-  private:
-    StalenessAssessment _result;
 };
 
 /**

@@ -1,7 +1,6 @@
 #include "core/compile_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <mutex>
 #include <unordered_map>
@@ -18,8 +17,6 @@ namespace vaq::core
 
 namespace
 {
-
-std::atomic<bool> g_pathCacheEnabled{true};
 
 /** Per-thread PathCacheScope override: -1 unset, else 0/1. */
 thread_local int t_pathCacheOverride = -1;
@@ -73,18 +70,10 @@ costGraphKey(const topology::CouplingGraph &graph,
 
 } // namespace
 
-void
-setPathCacheEnabled(bool enabled)
-{
-    g_pathCacheEnabled.store(enabled, std::memory_order_relaxed);
-}
-
 bool
 pathCacheEnabled()
 {
-    if (t_pathCacheOverride >= 0)
-        return t_pathCacheOverride != 0;
-    return g_pathCacheEnabled.load(std::memory_order_relaxed);
+    return t_pathCacheOverride != 0;
 }
 
 PathCacheScope::PathCacheScope(bool enabled)

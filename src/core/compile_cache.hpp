@@ -37,25 +37,12 @@ namespace vaq::core
 {
 
 /**
- * Enable or disable the shared path caches globally. On (the
- * default), allocators read the cached reliability matrix and
- * mappers hand routers a shared plan table; off, every compile
- * recomputes from scratch exactly as the original per-query code
- * path does. The differential tests flip this to prove both modes
- * agree; `vaqc --no-path-cache` exposes it on the command line.
- *
- * Deprecated shim: prefer CompileOptions::cacheEnabled (see
- * core/compile_options.hpp), which scopes the choice to one compile
- * instead of the whole process. The global remains the default that
- * CompileOptions snapshots, so existing callers and the CLI flag
- * keep their behavior.
- */
-void setPathCacheEnabled(bool enabled);
-
-/**
- * Effective path-cache state on this thread: a PathCacheScope
- * override installed by Mapper::compile when one is active,
- * otherwise the global toggle.
+ * Effective path-cache state on this thread: the override of the
+ * innermost active PathCacheScope (installed by Mapper::compile from
+ * CompileOptions::cacheEnabled), otherwise on. On, allocators read
+ * the cached reliability matrix and mappers hand routers a shared
+ * plan table; off, every compile recomputes from scratch exactly as
+ * the original per-query code path does.
  */
 bool pathCacheEnabled();
 

@@ -3,14 +3,12 @@
  * Per-compile options: the explicit replacement for the process
  * globals that used to steer a compile.
  *
- * Historically the only way to turn the shared path caches off was
- * the global core::setPathCacheEnabled toggle, which is both racy
- * to flip around a single compile and invisible in signatures. A
- * CompileOptions value travels with the call instead: through
- * Mapper::compile, BatchCompiler and IterativeRunner::runBatch.
- * Default-constructed options snapshot the current globals, so
- * `mapper.map(...)` (which forwards a default CompileOptions) and
- * the `--no-path-cache` flag behave exactly as before.
+ * A CompileOptions value travels with the call: through
+ * Mapper::compile, BatchCompiler and IterativeRunner::runBatch, so
+ * no process-wide toggle steers a compile. Default-constructed
+ * options snapshot the calling thread's state (path caches on
+ * unless an enclosing PathCacheScope turned them off; telemetry as
+ * obs::enabled()), so `mapper.map(...)` inside a scope inherits it.
  */
 #ifndef VAQ_CORE_COMPILE_OPTIONS_HPP
 #define VAQ_CORE_COMPILE_OPTIONS_HPP
@@ -24,15 +22,15 @@ namespace vaq::core
 {
 
 // Defined in compile_cache.hpp; declared here so default options
-// can snapshot the (deprecated) global toggle without pulling in
-// the whole cache header.
+// can snapshot the thread's cache state without pulling in the
+// whole cache header.
 bool pathCacheEnabled();
 
 /** Options for one compile (or one batch of compiles). */
 struct CompileOptions
 {
     /** Consult the shared reliability-matrix / movement-plan
-     *  stores. Defaults to the global toggle's current state. */
+     *  stores. Defaults to this thread's pathCacheEnabled(). */
     bool cacheEnabled = pathCacheEnabled();
     /** Record metrics and tracing spans for this compile (only
      *  effective while obs::enabled() is also on). */

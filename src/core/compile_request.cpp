@@ -236,8 +236,8 @@ compileCircuit(const circuit::Circuit &logical,
 
     // Artifact-cache lookup: a stored compile for this exact
     // (circuit, snapshot, machine, policy) key — or one whose
-    // calibration dependencies survived the snapshot change (delta
-    // reuse) — replaces the whole attempt loop. Only clean
+    // certified staleness bound under this snapshot is within the
+    // store's tolerance — replaces the whole attempt loop. Only clean
     // snapshots are eligible: a quarantined machine compiles
     // against a synthesized cleaned snapshot whose content the key
     // does not describe. failFast keeps the legacy path untouched.

@@ -210,9 +210,9 @@ struct CompileResult
     /** True when `mapped` came from the artifact cache (exact or
      *  delta hit) instead of a compile; attempts is 0 then. */
     bool fromStore = false;
-    /** True when the store hit came through delta reuse (the stored
-     *  artifact's calibration dependencies survived a snapshot
-     *  change) rather than an exact key match. */
+    /** True when the store hit came through delta reuse (served
+     *  across a snapshot change at a certified staleness bound of
+     *  0) rather than an exact key match. */
     bool viaDelta = false;
     /** True when the store hit was served on a certified staleness
      *  bound (store::StoreOptions::stalenessTol); analyticPst then
@@ -244,9 +244,9 @@ struct ArtifactHit
     std::size_t mappedLintWarnings = 0;
     /** Policy that produced the stored mapping. */
     std::string policyUsed;
-    /** True when the hit came through delta reuse (the stored
-     *  artifact's calibration dependencies survived a snapshot
-     *  change) rather than an exact key match. */
+    /** True when the hit came through delta reuse (served across a
+     *  snapshot change at a certified staleness bound of 0) rather
+     *  than an exact key match. */
     bool viaDelta = false;
     /** True when the hit was served on a certified staleness bound;
      *  analyticPst is then already shifted by the exact analytic

@@ -83,9 +83,11 @@ explainMapping(const MappedCircuit &mapped,
         const double loss =
             1.0 - std::pow(1.0 - e,
                            static_cast<double>(count));
-        links.addRow({"Q" + std::to_string(ends.a) + "-Q" +
-                          std::to_string(ends.b),
-                      formatDouble(e, 3), std::to_string(count),
+        std::string name = "Q";
+        name += std::to_string(ends.a);
+        name += "-Q";
+        name += std::to_string(ends.b);
+        links.addRow({name, formatDouble(e, 3), std::to_string(count),
                       formatDouble(loss, 3)});
     }
     oss << links.render() << "\n";

@@ -25,7 +25,6 @@ Backend::Backend(BackendSpec spec, const core::PolicySpec &policy,
       _store(store::StoreOptions{
           .directory = "", // memory-only; the fleet is a simulation
           .maxEntries = storeEntries,
-          .deltaReuse = true,
           .stalenessTol = stalenessTol})
 {
     require(_spec.serviceRate > 0.0,

@@ -65,9 +65,8 @@ struct BackendSpec
 class Backend
 {
   public:
-    /** `stalenessTol` > 0 lets the machine's artifact store serve
-     *  mappings on a certified staleness bound across epochs
-     *  (store::StoreOptions::stalenessTol). */
+    /** `stalenessTol` is the machine's artifact-store reuse
+     *  tolerance across epochs (store::StoreOptions::stalenessTol). */
     Backend(BackendSpec spec, const core::PolicySpec &policy,
             std::size_t storeEntries, BreakerOptions breaker,
             double stalenessTol = 0.0);

@@ -110,22 +110,26 @@ FleetSim::predict(std::size_t circuitIdx, std::size_t machineIdx)
         PredictionEntry &entry = it->second;
         if (entry.calVersion == backend.calVersion())
             return entry.pred;
-        // The calibration moved. Instead of discarding outright
-        // (the legacy calVersion rule), revalidate through the
-        // certified staleness bound: when the drift provably moved
-        // this prediction's logPST by less than the tolerance,
-        // shift the PST by the exact analytic delta and keep it.
-        if (_options.stalenessTol > 0.0 && entry.hasProfile &&
-            backend.health().kind ==
-                core::SnapshotHealth::Kind::Clean) {
+        // The calibration moved: revalidate through the certified
+        // staleness bound, the same rule the artifact store serves
+        // by. Bound 0 keeps the PST bit-identical; a positive bound
+        // within tolerance shifts the compile-time PST by the exact
+        // analytic delta. Either way the mapping is served like a
+        // store hit, not recompiled.
+        if (entry.hasProfile && backend.health().kind ==
+                                    core::SnapshotHealth::Kind::Clean) {
             const analysis::StalenessAssessment assess =
                 analysis::assessStaleness(entry.profile,
                                           backend.snapshot());
             if (assess.within(_options.stalenessTol)) {
-                entry.pred.pst = std::exp(entry.profile.logPst +
-                                          assess.deltaLogPst);
-                entry.calVersion = backend.calVersion();
+                // exp(0) is exactly 1: a bound-0 serve is unshifted.
+                entry.pred.pst =
+                    entry.basePst * std::exp(assess.deltaLogPst);
                 obs::count("fleet.predict.bound_reuse");
+                if (assess.bound() > 0.0)
+                    obs::count("fleet.predict.shifted");
+                entry.pred.fromStore = true;
+                entry.calVersion = backend.calVersion();
                 return entry.pred;
             }
         }
@@ -150,8 +154,7 @@ FleetSim::predict(std::size_t circuitIdx, std::size_t machineIdx)
         // only clean, undegraded compiles (a degraded snapshot was
         // sanitized; the published values are not what the mapping
         // was scored against).
-        if (_options.stalenessTol > 0.0 &&
-            result.status == core::JobStatus::Ok &&
+        if (result.status == core::JobStatus::Ok &&
             backend.health().kind ==
                 core::SnapshotHealth::Kind::Clean &&
             prediction.pst > 0.0) {
@@ -162,6 +165,7 @@ FleetSim::predict(std::size_t circuitIdx, std::size_t machineIdx)
                 entry.profile = analysis::analyzeSensitivity(
                     dataflow, backend.graph(), backend.snapshot());
                 entry.hasProfile = true;
+                entry.basePst = prediction.pst;
             } catch (const VaqError &) {
                 entry.hasProfile = false;
             }

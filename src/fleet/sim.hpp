@@ -117,14 +117,14 @@ struct FleetOptions
     double replicateThreshold = 0.5;
     std::uint64_t seed = 7;
     /**
-     * Certified-staleness tolerance for prediction reuse across
-     * calibration epochs. When > 0, a cached prediction whose
-     * certified |delta logPST| bound (analysis/staleness.hpp) is
-     * within tolerance survives a calVersion bump with its PST
-     * shifted by the exact analytic delta, instead of forcing a
-     * recompile; the per-backend artifact stores get the same
-     * tolerance. 0 (default) = invalidate on every calVersion bump
-     * (the legacy rule).
+     * Certified-staleness tolerance for reuse across calibration
+     * epochs, shared by the prediction cache and the per-backend
+     * artifact stores. On a calVersion bump a cached prediction
+     * whose certified |delta logPST| bound (analysis/staleness.hpp)
+     * is within tolerance survives — unshifted at bound 0, else with
+     * its compile-time PST shifted by the exact analytic delta —
+     * instead of forcing a recompile. 0 (default) keeps only the
+     * bound-0 predictions.
      */
     double stalenessTol = 0.0;
     /** Compile policy every backend maps with. */
@@ -230,6 +230,9 @@ class FleetSim
          *  compile-time snapshot; only for clean Ok compiles. */
         bool hasProfile = false;
         analysis::SensitivityProfile profile;
+        /** The compile-time PST every revalidation shifts from, so
+         *  repeated rollovers never compound the shift. */
+        double basePst = 0.0;
     };
 
     void push(Event event);

@@ -123,8 +123,8 @@ CompileService::rollover(calibration::Snapshot snapshot)
     // plans) are keyed by content hash, but the LRU caches would
     // keep serving dead epochs' tables from memory; dropping them
     // here keeps the working set to the live epoch. The artifact
-    // store is NOT invalidated: its delta scan is exactly what
-    // re-serves untouched circuits across the rollover.
+    // store is NOT invalidated: it re-serves every circuit whose
+    // certified staleness bound under the new epoch is 0.
     core::invalidatePathCaches();
     if (obs::enabled())
         obs::count("service.rollovers");

@@ -18,8 +18,9 @@
  *    sanitized, swapped in as an immutable epoch, and the shared
  *    matrix/plan caches are invalidated. In-flight requests finish
  *    on the epoch they started with (shared_ptr pinning), and the
- *    artifact store's delta scan re-serves untouched circuits on
- *    the next compile (store.delta_reuse counts them).
+ *    artifact store re-serves every circuit whose certified
+ *    staleness bound under the new epoch is 0 on the next compile
+ *    (store.delta_reuse counts them).
  *  - `GET /metrics`      Prometheus text off the vaq_obs registry.
  *  - `GET /healthz`      liveness + current epoch + the epoch's
  *    quarantine summary (pruned qubits/links with reasons).

@@ -180,34 +180,10 @@ makeArtifact(const core::MappedCircuit &mapped, double analytic_pst,
     artifact.analyticPst = analytic_pst;
     artifact.mappedLintErrors = mapped_lint_errors;
     artifact.mappedLintWarnings = mapped_lint_warnings;
-    artifact.durations = snapshot.durations;
-
-    // Touched qubits/links and their usage weights come from the
-    // sensitivity pass over the physical circuit (its touched sets
-    // are exactly the dataflow chains + two-qubit gate links this
-    // code used to collect by hand). The weights are what let a
-    // later cycle certify a staleness bound without recompiling.
     const analysis::DataflowAnalysis dataflow(mapped.physical,
                                               snapshot.durations);
-    const analysis::SensitivityProfile profile =
+    artifact.profile =
         analysis::analyzeSensitivity(dataflow, graph, snapshot);
-    for (const analysis::QubitSensitivity &q : profile.qubits) {
-        artifact.touchedQubits.push_back(q.qubit);
-        const calibration::QubitCalibration &cal =
-            snapshot.qubit(q.qubit);
-        artifact.qubitDeps.push_back(cal.t1Us);
-        artifact.qubitDeps.push_back(cal.t2Us);
-        artifact.qubitDeps.push_back(cal.error1q);
-        artifact.qubitDeps.push_back(cal.readoutError);
-        artifact.qubitWeights.push_back(q.oneQubitGates);
-        artifact.qubitWeights.push_back(q.measurements);
-        artifact.qubitWeights.push_back(q.busyNs);
-    }
-    for (const analysis::LinkSensitivity &l : profile.links) {
-        artifact.touchedLinks.push_back(l.link);
-        artifact.linkDeps.push_back(l.error2q);
-        artifact.linkWeights.push_back(l.effectiveGates);
-    }
     return artifact;
 }
 
@@ -224,87 +200,6 @@ toMapped(const CompileArtifact &artifact)
     mapped.insertedSwaps = artifact.insertedSwaps;
     mapped.policyName = artifact.policyUsed;
     return mapped;
-}
-
-bool
-reusableUnder(const CompileArtifact &artifact,
-              const calibration::Snapshot &snapshot)
-{
-    const calibration::GateDurations &d = snapshot.durations;
-    if (d.oneQubitNs != artifact.durations.oneQubitNs ||
-        d.twoQubitNs != artifact.durations.twoQubitNs ||
-        d.measureNs != artifact.durations.measureNs)
-        return false;
-    for (std::size_t i = 0; i < artifact.touchedQubits.size(); ++i) {
-        const int q = artifact.touchedQubits[i];
-        if (q < 0 || q >= snapshot.numQubits())
-            return false;
-        const calibration::QubitCalibration &cal = snapshot.qubit(q);
-        const double *deps = &artifact.qubitDeps[i * 4];
-        if (cal.t1Us != deps[0] || cal.t2Us != deps[1] ||
-            cal.error1q != deps[2] || cal.readoutError != deps[3])
-            return false;
-    }
-    for (std::size_t i = 0; i < artifact.touchedLinks.size(); ++i) {
-        const std::size_t l = artifact.touchedLinks[i];
-        if (l >= snapshot.numLinks() ||
-            snapshot.linkError(l) != artifact.linkDeps[i])
-            return false;
-    }
-    return true;
-}
-
-analysis::StalenessAssessment
-assessArtifactStaleness(const CompileArtifact &artifact,
-                        const calibration::Snapshot &snapshot)
-{
-    analysis::StalenessAccumulator acc;
-    const calibration::GateDurations &d = snapshot.durations;
-    const bool shapes_ok =
-        artifact.qubitWeights.size() ==
-            3 * artifact.touchedQubits.size() &&
-        artifact.linkWeights.size() == artifact.touchedLinks.size();
-    if (!shapes_ok || d.oneQubitNs != artifact.durations.oneQubitNs ||
-        d.twoQubitNs != artifact.durations.twoQubitNs ||
-        d.measureNs != artifact.durations.measureNs) {
-        acc.uncertifiable();
-    } else {
-        for (std::size_t i = 0; i < artifact.touchedQubits.size();
-             ++i) {
-            const int q = artifact.touchedQubits[i];
-            if (q < 0 || q >= snapshot.numQubits()) {
-                acc.uncertifiable();
-                break;
-            }
-            const calibration::QubitCalibration &cal =
-                snapshot.qubit(q);
-            const double *deps = &artifact.qubitDeps[i * 4];
-            const double *w = &artifact.qubitWeights[i * 3];
-            acc.errorParam(w[0], deps[2], cal.error1q);
-            acc.errorParam(w[1], deps[3], cal.readoutError);
-            acc.coherenceParam(w[2], deps[0], cal.t1Us);
-            // deps[1] (T2) deliberately not consulted: the PerOp
-            // coherence model charges T1 only, so T2-only drift
-            // certifies at bound zero.
-        }
-        for (std::size_t i = 0; i < artifact.touchedLinks.size();
-             ++i) {
-            const std::size_t l = artifact.touchedLinks[i];
-            if (l >= snapshot.numLinks()) {
-                acc.uncertifiable();
-                break;
-            }
-            acc.errorParam(artifact.linkWeights[i],
-                           artifact.linkDeps[i],
-                           snapshot.linkError(l));
-        }
-    }
-    std::size_t ops = 0;
-    for (const circuit::Gate &gate : artifact.physical.gates()) {
-        if (gate.kind != circuit::GateKind::BARRIER)
-            ++ops;
-    }
-    return acc.finish(ops);
 }
 
 std::string
@@ -326,9 +221,10 @@ serializeArtifact(const ArtifactKey &key,
     out << "pst " << hexDouble(artifact.analyticPst) << '\n';
     out << "lint " << artifact.mappedLintErrors << ' '
         << artifact.mappedLintWarnings << '\n';
-    out << "dur " << hexDouble(artifact.durations.oneQubitNs) << ' '
-        << hexDouble(artifact.durations.twoQubitNs) << ' '
-        << hexDouble(artifact.durations.measureNs) << '\n';
+    const analysis::SensitivityProfile &profile = artifact.profile;
+    out << "dur " << hexDouble(profile.durations.oneQubitNs) << ' '
+        << hexDouble(profile.durations.twoQubitNs) << ' '
+        << hexDouble(profile.durations.measureNs) << '\n';
     out << "init";
     for (const int p : artifact.initialLayout)
         out << ' ' << p;
@@ -344,21 +240,20 @@ serializeArtifact(const ArtifactKey &key,
             << hexDouble(gate.param2) << ' '
             << hexDouble(gate.param3) << '\n';
     }
-    out << "qdeps " << artifact.touchedQubits.size() << '\n';
-    for (std::size_t i = 0; i < artifact.touchedQubits.size(); ++i) {
-        out << "q " << artifact.touchedQubits[i];
-        for (std::size_t j = 0; j < 4; ++j)
-            out << ' ' << hexDouble(artifact.qubitDeps[i * 4 + j]);
-        for (std::size_t j = 0; j < 3; ++j)
-            out << ' '
-                << hexDouble(artifact.qubitWeights[i * 3 + j]);
-        out << '\n';
+    out << "qdeps " << profile.qubits.size() << '\n';
+    for (const analysis::QubitSensitivity &q : profile.qubits) {
+        out << "q " << q.qubit << ' ' << hexDouble(q.t1Us) << ' '
+            << hexDouble(q.error1q) << ' '
+            << hexDouble(q.readoutError) << ' '
+            << hexDouble(q.oneQubitGates) << ' '
+            << hexDouble(q.measurements) << ' '
+            << hexDouble(q.busyNs) << '\n';
     }
-    out << "ldeps " << artifact.touchedLinks.size() << '\n';
-    for (std::size_t i = 0; i < artifact.touchedLinks.size(); ++i) {
-        out << "l " << artifact.touchedLinks[i] << ' '
-            << hexDouble(artifact.linkDeps[i]) << ' '
-            << hexDouble(artifact.linkWeights[i]) << '\n';
+    out << "ldeps " << profile.links.size() << '\n';
+    for (const analysis::LinkSensitivity &l : profile.links) {
+        out << "l " << l.link << ' ' << l.q0 << ' ' << l.q1 << ' '
+            << hexDouble(l.error2q) << ' '
+            << hexDouble(l.effectiveGates) << '\n';
     }
     std::string payload = out.str();
     payload += "sum " + hexWord(checksumBytes(payload)) + '\n';
@@ -448,9 +343,10 @@ parseArtifact(const std::string &text)
         const std::vector<std::string> dur = reader.line("dur");
         if (dur.size() != 3)
             return std::nullopt;
-        artifact.durations.oneQubitNs = parseHexDouble(dur[0]);
-        artifact.durations.twoQubitNs = parseHexDouble(dur[1]);
-        artifact.durations.measureNs = parseHexDouble(dur[2]);
+        analysis::SensitivityProfile &profile = artifact.profile;
+        profile.durations.oneQubitNs = parseHexDouble(dur[0]);
+        profile.durations.twoQubitNs = parseHexDouble(dur[1]);
+        profile.durations.measureNs = parseHexDouble(dur[2]);
 
         const auto parse_layout =
             [&artifact](const std::vector<std::string> &tokens) {
@@ -491,6 +387,8 @@ parseArtifact(const std::string &text)
             gate.param2 = parseHexDouble(g[4]);
             gate.param3 = parseHexDouble(g[5]);
             physical.append(gate);
+            if (gate.kind != circuit::GateKind::BARRIER)
+                ++profile.opCount;
         }
         artifact.physical = std::move(physical);
 
@@ -502,15 +400,18 @@ parseArtifact(const std::string &text)
             parseCount(qdep_count[0], kMaxListLength);
         for (long i = 0; i < num_qdeps; ++i) {
             const std::vector<std::string> q = reader.line("q");
-            if (q.size() != 8)
+            if (q.size() != 7)
                 return std::nullopt;
-            artifact.touchedQubits.push_back(static_cast<int>(
-                parseCount(q[0], artifact.numPhysQubits - 1)));
-            for (std::size_t j = 1; j < 5; ++j)
-                artifact.qubitDeps.push_back(parseHexDouble(q[j]));
-            for (std::size_t j = 5; j < 8; ++j)
-                artifact.qubitWeights.push_back(
-                    parseHexDouble(q[j]));
+            analysis::QubitSensitivity record;
+            record.qubit = static_cast<int>(
+                parseCount(q[0], artifact.numPhysQubits - 1));
+            record.t1Us = parseHexDouble(q[1]);
+            record.error1q = parseHexDouble(q[2]);
+            record.readoutError = parseHexDouble(q[3]);
+            record.oneQubitGates = parseHexDouble(q[4]);
+            record.measurements = parseHexDouble(q[5]);
+            record.busyNs = parseHexDouble(q[6]);
+            profile.qubits.push_back(record);
         }
 
         const std::vector<std::string> ldep_count =
@@ -521,13 +422,20 @@ parseArtifact(const std::string &text)
             parseCount(ldep_count[0], kMaxListLength);
         for (long i = 0; i < num_ldeps; ++i) {
             const std::vector<std::string> l = reader.line("l");
-            if (l.size() != 3)
+            if (l.size() != 5)
                 return std::nullopt;
-            artifact.touchedLinks.push_back(static_cast<std::size_t>(
-                parseCount(l[0], kMaxListLength)));
-            artifact.linkDeps.push_back(parseHexDouble(l[1]));
-            artifact.linkWeights.push_back(parseHexDouble(l[2]));
+            analysis::LinkSensitivity record;
+            record.link = static_cast<std::size_t>(
+                parseCount(l[0], kMaxListLength));
+            record.q0 = static_cast<int>(
+                parseCount(l[1], artifact.numPhysQubits - 1));
+            record.q1 = static_cast<int>(
+                parseCount(l[2], artifact.numPhysQubits - 1));
+            record.error2q = parseHexDouble(l[3]);
+            record.effectiveGates = parseHexDouble(l[4]);
+            profile.links.push_back(record);
         }
+        profile.logPst = analysis::closedFormLogPst(profile);
 
         // Reconstruct the layouts once here so a damaged-but-
         // checksum-colliding record (or a record written by a buggy

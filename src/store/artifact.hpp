@@ -6,14 +6,14 @@
  * One CompileArtifact is everything a batch needs to skip a
  * recompile: the routed circuit with its layouts, the compile-time
  * PST estimate and mapped lint counts, plus the artifact's
- * *calibration dependencies* — the per-qubit and per-link
- * calibration values of exactly the qubits/links the mapped circuit
- * touches (the touched set comes from analysis::DataflowAnalysis
- * over the physical circuit). The dependencies are what make delta
- * recompilation sound: when a new calibration cycle arrives, an
- * artifact may be reused iff every value it depends on is unchanged
- * — i.e. the snapshot delta is confined to qubits/links outside the
- * circuit's touched set (reusableUnder()).
+ * *calibration dependencies* — the analysis::SensitivityProfile of
+ * the mapped circuit against the snapshot it was compiled for
+ * (touched qubits and links, their usage weights and baseline
+ * values, the gate durations). The profile is what makes reuse
+ * across calibration cycles sound: analysis::assessStaleness
+ * certifies how far the stored PST can drift under a new snapshot,
+ * and a bound of exactly 0 means every parameter the estimate reads
+ * is unchanged (artifact_store.hpp).
  *
  * Artifacts are keyed on content, never identity:
  *
@@ -43,7 +43,7 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/staleness.hpp"
+#include "analysis/sensitivity.hpp"
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
 #include "core/mapped_circuit.hpp"
@@ -54,9 +54,10 @@ namespace vaq::store
 {
 
 /** On-disk format version (bumped on any layout change; older
- *  records parse as misses). Version 2 added the sensitivity
- *  weights to the dependency lines. */
-inline constexpr int kArtifactVersion = 2;
+ *  records parse as misses). Version 3 records the sensitivity
+ *  profile: T2 left the qubit lines, link endpoints joined the link
+ *  lines. */
+inline constexpr int kArtifactVersion = 3;
 
 /** Content-address of one compile artifact. */
 struct ArtifactKey
@@ -108,29 +109,10 @@ struct CompileArtifact
     std::size_t mappedLintErrors = 0;
     std::size_t mappedLintWarnings = 0;
 
-    /** Gate durations the compile saw (part of the dependencies —
-     *  they feed both the coherence model and lint scheduling). */
-    calibration::GateDurations durations;
-    /** Physical qubits the mapped circuit touches, ascending. */
-    std::vector<int> touchedQubits;
-    /** Link indices (as graph.links()) of every two-qubit gate,
-     *  ascending. */
-    std::vector<std::size_t> touchedLinks;
-    /** Calibration values the artifact depends on: 4 per touched
-     *  qubit (t1, t2, error1q, readoutError), aligned with
-     *  touchedQubits. */
-    std::vector<double> qubitDeps;
-    /** 2q error per touched link, aligned with touchedLinks. */
-    std::vector<double> linkDeps;
-    /** Sensitivity usage weights, 3 per touched qubit (1q gate
-     *  count, measurement count, T1-charged busy ns), aligned with
-     *  touchedQubits. Together with the deps these let
-     *  assessArtifactStaleness() certify a |delta logPST| bound
-     *  under a new snapshot without recompiling. */
-    std::vector<double> qubitWeights;
-    /** Effective 2q gates (nCX + nCZ + 3*nSWAP) per touched link,
-     *  aligned with touchedLinks. */
-    std::vector<double> linkWeights;
+    /** Sensitivity profile of `physical` against the compile-time
+     *  snapshot: everything the artifact depends on, and the
+     *  certificate material analysis::assessStaleness reads. */
+    analysis::SensitivityProfile profile;
 
     /** Set on the copy a bound-based staleness serve returns:
      *  the certified |delta logPST| bound and the exact analytic
@@ -142,10 +124,9 @@ struct CompileArtifact
 };
 
 /**
- * Build the artifact for a fresh compile: extracts layouts, records
- * the touched qubit/link sets (DataflowAnalysis over the physical
- * circuit + link indices of its two-qubit gates) and captures the
- * snapshot values those sets depend on.
+ * Build the artifact for a fresh compile: extracts layouts and
+ * profiles the physical circuit against `snapshot`
+ * (analysis::analyzeSensitivity).
  */
 CompileArtifact makeArtifact(const core::MappedCircuit &mapped,
                              double analytic_pst,
@@ -156,29 +137,6 @@ CompileArtifact makeArtifact(const core::MappedCircuit &mapped,
 
 /** Reconstruct the MappedCircuit a batch result needs. */
 core::MappedCircuit toMapped(const CompileArtifact &artifact);
-
-/**
- * The delta-reuse rule: true iff every calibration value the
- * artifact depends on — gate durations plus the touched qubits'
- * and links' records — is unchanged in `snapshot` (values compare
- * with ==, matching the normalized content hashes). A true result
- * means the calibration delta is confined to hardware the mapped
- * circuit never uses, so mapping and PST estimate are still exact.
- */
-bool reusableUnder(const CompileArtifact &artifact,
-                   const calibration::Snapshot &snapshot);
-
-/**
- * Certify how far the artifact's stored PST estimate can drift
- * under `snapshot`, from the serialized weights alone
- * (analysis/staleness.hpp — no recompile, no profile rebuild).
- * Uncertifiable (bound +inf) when durations changed, a touched
- * qubit/link fell outside the snapshot, the weights are missing
- * (pre-version-2 artifact shapes), or a parameter left its domain.
- */
-analysis::StalenessAssessment
-assessArtifactStaleness(const CompileArtifact &artifact,
-                        const calibration::Snapshot &snapshot);
 
 /** Serialize to the versioned, checksummed on-disk format. */
 std::string serializeArtifact(const ArtifactKey &key,

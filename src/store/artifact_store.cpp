@@ -10,6 +10,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "analysis/staleness.hpp"
 #include "obs/metrics.hpp"
 
 namespace fs = std::filesystem;
@@ -149,19 +150,6 @@ ArtifactStore::get(const ArtifactKey &key)
 std::optional<CompileArtifact>
 ArtifactStore::getOrDelta(const ArtifactKey &key,
                           const calibration::Snapshot &snapshot,
-                          bool *via_delta)
-{
-    DeltaServeInfo info;
-    std::optional<CompileArtifact> result =
-        getOrDelta(key, snapshot, info);
-    if (via_delta != nullptr)
-        *via_delta = info.viaDelta || info.boundReuse;
-    return result;
-}
-
-std::optional<CompileArtifact>
-ArtifactStore::getOrDelta(const ArtifactKey &key,
-                          const calibration::Snapshot &snapshot,
                           DeltaServeInfo &info)
 {
     info = DeltaServeInfo{};
@@ -173,93 +161,81 @@ ArtifactStore::getOrDelta(const ArtifactKey &key,
         ++_stats.hits;
         return exact->second.artifact;
     }
-    if (_options.deltaReuse) {
-        const auto bucket = _byBase.find(key.baseHash());
-        if (bucket != _byBase.end()) {
-            for (const std::uint64_t combined : bucket->second) {
-                const auto it = _entries.find(combined);
-                if (it == _entries.end())
-                    continue;
-                Entry &candidate = it->second;
-                if (candidate.key.circuitHash != key.circuitHash ||
-                    candidate.key.topologyHash != key.topologyHash ||
-                    candidate.key.policyHash != key.policyHash)
-                    continue;
-                if (!reusableUnder(candidate.artifact, snapshot))
-                    continue;
-                touchEntry(candidate);
-                ++_stats.deltaReuse;
-                ++_stats.hits;
-                CompileArtifact artifact = candidate.artifact;
-                // Alias the artifact under the new snapshot's key
-                // so the rest of this cycle hits exactly. Memory
-                // only: the record on disk stays singular.
-                Entry alias;
-                alias.key = key;
-                alias.artifact = artifact;
-                alias.lastUsed = ++_useCounter;
-                alias.aliasOnly = true;
-                const std::uint64_t alias_combined = key.combined();
-                if (_entries.emplace(alias_combined,
-                                     std::move(alias))
-                        .second) {
-                    std::vector<std::uint64_t> &base_bucket =
-                        _byBase[key.baseHash()];
-                    base_bucket.insert(
-                        std::lower_bound(base_bucket.begin(),
-                                         base_bucket.end(),
-                                         alias_combined),
-                        alias_combined);
-                    evictIfNeeded();
-                }
-                info.viaDelta = true;
-                return artifact;
-            }
+    // One scan of the base bucket: the candidate with the smallest
+    // certified bound within tolerance wins (ties in bucket order;
+    // a bound of 0 cannot be beaten).
+    Entry *best = nullptr;
+    analysis::StalenessAssessment bestAssess;
+    const auto bucket = _byBase.find(key.baseHash());
+    if (bucket != _byBase.end()) {
+        for (const std::uint64_t combined : bucket->second) {
+            const auto it = _entries.find(combined);
+            if (it == _entries.end())
+                continue;
+            Entry &candidate = it->second;
+            if (candidate.key.circuitHash != key.circuitHash ||
+                candidate.key.topologyHash != key.topologyHash ||
+                candidate.key.policyHash != key.policyHash)
+                continue;
+            const analysis::StalenessAssessment assess =
+                analysis::assessStaleness(candidate.artifact.profile,
+                                          snapshot);
+            if (!assess.within(_options.stalenessTol) ||
+                (best != nullptr &&
+                 assess.bound() >= bestAssess.bound()))
+                continue;
+            best = &candidate;
+            bestAssess = assess;
+            if (assess.bound() == 0.0)
+                break;
         }
     }
-    // Second fallback: certified-staleness serving. The touched-set
-    // scan above found no artifact with *identical* dependencies;
-    // serve the first whose certified |delta logPST| bound is
-    // within tolerance, PST shifted by the exact analytic delta.
-    // No alias entry: the bound must always be measured against the
-    // compile-time baseline (aliasing a shifted copy would let
-    // repeated serves accumulate drift past the tolerance).
-    if (_options.stalenessTol > 0.0) {
-        const auto bucket = _byBase.find(key.baseHash());
-        if (bucket != _byBase.end()) {
-            for (const std::uint64_t combined : bucket->second) {
-                const auto it = _entries.find(combined);
-                if (it == _entries.end())
-                    continue;
-                Entry &candidate = it->second;
-                if (candidate.key.circuitHash != key.circuitHash ||
-                    candidate.key.topologyHash != key.topologyHash ||
-                    candidate.key.policyHash != key.policyHash)
-                    continue;
-                const analysis::StalenessAssessment assess =
-                    assessArtifactStaleness(candidate.artifact,
-                                            snapshot);
-                if (!assess.within(_options.stalenessTol))
-                    continue;
-                touchEntry(candidate);
-                ++_stats.boundReuse;
-                ++_stats.hits;
-                obs::count("store.bound_reuse");
-                CompileArtifact artifact = candidate.artifact;
-                if (artifact.analyticPst > 0.0)
-                    artifact.analyticPst *=
-                        std::exp(assess.deltaLogPst);
-                artifact.servedStalenessBound = assess.bound();
-                artifact.servedDeltaLogPst = assess.deltaLogPst;
-                info.boundReuse = true;
-                info.stalenessBound = assess.bound();
-                info.deltaLogPst = assess.deltaLogPst;
-                return artifact;
-            }
-        }
+    if (best == nullptr) {
+        ++_stats.misses;
+        return std::nullopt;
     }
-    ++_stats.misses;
-    return std::nullopt;
+    touchEntry(*best);
+    ++_stats.hits;
+    CompileArtifact artifact = best->artifact;
+    if (bestAssess.bound() == 0.0) {
+        // Nothing the artifact depends on moved: serve it unshifted
+        // and alias it under the new snapshot's key so the rest of
+        // this cycle hits exactly. Memory only: the record on disk
+        // stays singular.
+        ++_stats.deltaReuse;
+        Entry alias;
+        alias.key = key;
+        alias.artifact = artifact;
+        alias.lastUsed = ++_useCounter;
+        alias.aliasOnly = true;
+        const std::uint64_t alias_combined = key.combined();
+        if (_entries.emplace(alias_combined, std::move(alias))
+                .second) {
+            std::vector<std::uint64_t> &base_bucket =
+                _byBase[key.baseHash()];
+            base_bucket.insert(std::lower_bound(base_bucket.begin(),
+                                                base_bucket.end(),
+                                                alias_combined),
+                               alias_combined);
+            evictIfNeeded();
+        }
+        info.viaDelta = true;
+        return artifact;
+    }
+    // A positive bound within tolerance: shift the PST by the exact
+    // analytic delta. No alias entry: the bound must always be
+    // measured against the compile-time baseline (aliasing a shifted
+    // copy would let repeated serves accumulate drift past the
+    // tolerance).
+    ++_stats.boundReuse;
+    if (artifact.analyticPst > 0.0)
+        artifact.analyticPst *= std::exp(bestAssess.deltaLogPst);
+    artifact.servedStalenessBound = bestAssess.bound();
+    artifact.servedDeltaLogPst = bestAssess.deltaLogPst;
+    info.boundReuse = true;
+    info.stalenessBound = bestAssess.bound();
+    info.deltaLogPst = bestAssess.deltaLogPst;
+    return artifact;
 }
 
 void

@@ -10,9 +10,14 @@
  * reuse durable: every fresh compile is written to disk as a
  * checksummed record keyed on content (store/artifact.hpp), a later
  * process warm-starts from the directory, and lookups fall back
- * from exact key match to *delta reuse* — serving a prior cycle's
- * artifact when the calibration delta is confined to qubits/links
- * the mapped circuit never touches.
+ * from exact key match to one reuse rule: serve a prior cycle's
+ * artifact when the certified staleness bound of its sensitivity
+ * profile under the new snapshot (analysis/staleness.hpp) is within
+ * StoreOptions::stalenessTol. A bound of exactly 0 — nothing the
+ * PST estimate reads has moved — is a *delta reuse*: served
+ * unshifted and aliased under the new key. A positive bound is a
+ * *bound reuse*: served with the PST shifted by the exact analytic
+ * delta.
  *
  * Durability rules:
  *  - Writes are atomic: serialize to "<name>.tmp", then rename onto
@@ -55,16 +60,11 @@ struct StoreOptions
     std::string directory;
     /** In-memory index bound; evicting an entry deletes its file. */
     std::size_t maxEntries = 4096;
-    /** Enable the delta-reuse fallback in getOrDelta(). */
-    bool deltaReuse = true;
     /**
-     * Certified-staleness serving tolerance. When > 0, a getOrDelta
-     * miss under the touched-set rule may still be served from an
-     * artifact whose certified |delta logPST| bound
-     * (assessArtifactStaleness) is within this tolerance; the
-     * served copy's PST is shifted by the exact analytic delta.
-     * 0 (default) disables the fallback — behavior is then
-     * byte-identical to the pure touched-set rule.
+     * Certified-staleness serving tolerance: getOrDelta() serves a
+     * prior cycle's artifact whose certified |delta logPST| bound
+     * is at most this. 0 (default) serves only bound-0 artifacts,
+     * whose mapping and PST are still exact.
      */
     double stalenessTol = 0.0;
 };
@@ -74,8 +74,8 @@ struct StoreStats
 {
     std::size_t hits = 0;       ///< exactHits + deltaReuse + boundReuse
     std::size_t exactHits = 0;  ///< full-key matches
-    std::size_t deltaReuse = 0; ///< served across a snapshot change
-    std::size_t boundReuse = 0; ///< served on a certified bound
+    std::size_t deltaReuse = 0; ///< served across cycles, bound 0
+    std::size_t boundReuse = 0; ///< served across cycles, bound > 0
     std::size_t misses = 0;
     std::size_t writes = 0;         ///< records put()
     std::size_t evictions = 0;      ///< LRU evictions (file removed)
@@ -89,12 +89,12 @@ struct StoreStats
 /** How a getOrDelta() result was served. */
 struct DeltaServeInfo
 {
-    /** Served across a snapshot change with every touched value
-     *  unchanged (the exact touched-set rule). */
+    /** Served across a snapshot change with a certified bound of
+     *  exactly 0 (PST unshifted). */
     bool viaDelta = false;
-    /** Served on a certified staleness bound within
-     *  StoreOptions::stalenessTol; PST shifted by the exact
-     *  analytic delta. */
+    /** Served across a snapshot change with a positive certified
+     *  bound within StoreOptions::stalenessTol; PST shifted by the
+     *  exact analytic delta. */
     bool boundReuse = false;
     /** The certified |delta logPST| bound of a boundReuse serve. */
     double stalenessBound = 0.0;
@@ -121,31 +121,21 @@ class ArtifactStore
     std::optional<CompileArtifact> get(const ArtifactKey &key);
 
     /**
-     * Exact-key lookup with delta-reuse fallback: when the exact key
+     * Exact-key lookup with cross-cycle fallback: when the exact key
      * misses, scan the stored artifacts that share the key's
-     * snapshot-independent base (same circuit, topology, policy) in
-     * deterministic order and serve the first whose calibration
-     * dependencies are unchanged under `snapshot` (reusableUnder).
-     * A delta hit is additionally indexed under the new key in
-     * memory, so the rest of the cycle hits exactly without
-     * re-scanning; the alias writes no new file (no store bloat).
-     * Sets *via_delta when the result came from the fallback.
-     *
-     * When StoreOptions::stalenessTol > 0, a second fallback runs
-     * after the touched-set scan: serve the first base-bucket
-     * artifact whose certified staleness bound
-     * (assessArtifactStaleness) is within the tolerance, with its
-     * PST shifted by the exact analytic delta. Bound serves are
-     * never aliased under the new key — the bound is always
-     * measured against the compile-time baseline, so repeated
-     * serves can never accumulate drift past the tolerance.
+     * snapshot-independent base (same circuit, topology, policy)
+     * once, in deterministic order, assessing each one's profile
+     * under `snapshot`. Serve the one with the smallest certified
+     * bound within StoreOptions::stalenessTol (ties in scan order;
+     * the scan stops at the first bound of 0).
+     *  - Bound 0: served unshifted (info.viaDelta) and indexed under
+     *    the new key in memory, so the rest of the cycle hits
+     *    exactly; the alias writes no new file.
+     *  - Bound > 0: served with its PST shifted by the exact
+     *    analytic delta (info.boundReuse). Never aliased — the bound
+     *    is always measured against the compile-time baseline, so
+     *    repeated serves cannot accumulate drift past the tolerance.
      */
-    std::optional<CompileArtifact>
-    getOrDelta(const ArtifactKey &key,
-               const calibration::Snapshot &snapshot,
-               bool *via_delta = nullptr);
-
-    /** getOrDelta with the full serve classification. */
     std::optional<CompileArtifact>
     getOrDelta(const ArtifactKey &key,
                const calibration::Snapshot &snapshot,

@@ -110,8 +110,9 @@ TEST(QasmGolden, DirectedCxOrientationRoundTrips)
     EXPECT_GT(stats.reversedCnots, 0u);
     EXPECT_EQ(stats.loweredSwaps, 1u);
     for (const Gate &g : oriented.gates()) {
-        if (g.kind == GateKind::CX)
+        if (g.kind == GateKind::CX) {
             EXPECT_TRUE(directions.allowed(g.q0, g.q1));
+        }
     }
 
     const std::string emitted = toQasm(oriented);

@@ -75,9 +75,10 @@ TEST_F(ExplainTest, EveryProgramQubitListed)
         explainMapping(mapped, graph, snap);
     // Four program qubits: rows 0..3 exist.
     for (int q = 0; q < 4; ++q) {
-        EXPECT_NE(report.find("\n" + std::to_string(q) + " "),
-                  std::string::npos)
-            << q;
+        std::string row = "\n";
+        row += std::to_string(q);
+        row += ' ';
+        EXPECT_NE(report.find(row), std::string::npos) << q;
     }
 }
 

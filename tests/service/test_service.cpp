@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <memory>
@@ -664,6 +665,57 @@ TEST(VaqcTelemetry, FlushedOnFailureExitPaths)
         << "metrics not flushed on failure: " << metrics;
     EXPECT_TRUE(std::ifstream(trace).good())
         << "trace not flushed on failure: " << trace;
+}
+
+TEST(VaqcStore, StalenessTolReachesTheStore)
+{
+    // --staleness-tol sets the artifact store's reuse tolerance;
+    // without it the store serves bound-0 artifacts only.
+    const std::string dir =
+        ::testing::TempDir() + "vaqc_staleness_tol_" +
+        std::to_string(::getpid()) + "/";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const topology::CouplingGraph q5 = topology::ibmQ5Tenerife();
+    const calibration::Snapshot base = vaq::test::uniformSnapshot(q5);
+    calibration::Snapshot drifted = base;
+    for (int q = 0; q < q5.numQubits(); ++q)
+        drifted.qubit(q).readoutError += 1e-4;
+    calibration::saveCsv(dir + "base.csv", base, q5);
+    calibration::saveCsv(dir + "drifted.csv", drifted, q5);
+
+    const auto vaqc = [&dir](const std::string &csv,
+                             const std::string &extra) {
+        const std::string out = dir + "stdout.txt";
+        const std::string command =
+            std::string(VAQ_VAQC_BIN) + " --qasm " +
+            VAQ_TEST_DATA_DIR +
+            "/service/fixtures/bv4.qasm --machine q5 --trials 100" +
+            " --calibration " + dir + csv + " --store-dir " + dir +
+            "store --store-stats " + extra + " >" + out + " 2>&1";
+        const int status = std::system(command.c_str());
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << command;
+        std::ifstream in(out);
+        std::ostringstream text;
+        text << in.rdbuf();
+        return text.str();
+    };
+    const auto has = [](const std::string &text,
+                        const std::string &needle) {
+        return text.find(needle) != std::string::npos;
+    };
+
+    const std::string first = vaqc("base.csv", "");
+    EXPECT_TRUE(has(first, "1 misses, 1 writes")) << first;
+    // Every readout error moved by 1e-4: a certified bound of
+    // about 4e-4 for bv4's four measurements.
+    const std::string tolerant =
+        vaqc("drifted.csv", "--staleness-tol 1e-3");
+    EXPECT_TRUE(has(tolerant, "1 bound reuse, 0 misses")) << tolerant;
+    const std::string strict = vaqc("drifted.csv", "");
+    EXPECT_TRUE(has(strict, "0 bound reuse, 1 misses")) << strict;
+    std::filesystem::remove_all(dir);
 }
 #endif
 

@@ -292,9 +292,10 @@ TEST(AffineSupportTest, ElementAtEnumeratesAscending)
             const std::uint64_t e = s.elementAt(m, s.offset);
             EXPECT_TRUE(s.contains(e));
             EXPECT_TRUE(s.contains(e ^ 0)); // exercise const path
-            if (m > 0)
+            if (m > 0) {
                 EXPECT_LT(previous, e)
                     << "elementAt must walk ascending";
+            }
             previous = e;
         }
         // The original offset is a member of its own coset.

@@ -1,8 +1,9 @@
 /**
  * @file
  * Helpers for the artifact-store suite: a scratch directory that
- * cleans up after itself, and a canned (machine, snapshot, circuit,
- * compile) fixture so every test addresses the same content.
+ * cleans up after itself, a canned (machine, snapshot, circuit,
+ * compile) fixture so every test addresses the same content, and
+ * the touched-set reuse predicate as a parity oracle.
  */
 #ifndef VAQ_TESTS_STORE_SUPPORT_HPP
 #define VAQ_TESTS_STORE_SUPPORT_HPP
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/sensitivity.hpp"
 #include "calibration/snapshot.hpp"
 #include "circuit/circuit.hpp"
 #include "core/mapper.hpp"
@@ -82,6 +84,39 @@ storeTestCircuit(int num_qubits = 3)
     for (int q = 0; q < num_qubits; ++q)
         c.measure(q);
     return c;
+}
+
+/**
+ * Oracle: the touched-set reuse predicate. True iff the gate
+ * durations and every calibration value of the profile's touched
+ * qubits (T1, T2, 1q error, readout error) and links are unchanged
+ * from `baseline` (the snapshot the profile was built against) to
+ * `now`. Wherever it holds, the store must serve at bound 0.
+ */
+inline bool
+touchedSetReusable(const analysis::SensitivityProfile &profile,
+                   const calibration::Snapshot &baseline,
+                   const calibration::Snapshot &now)
+{
+    const calibration::GateDurations &d = now.durations;
+    if (d.oneQubitNs != baseline.durations.oneQubitNs ||
+        d.twoQubitNs != baseline.durations.twoQubitNs ||
+        d.measureNs != baseline.durations.measureNs)
+        return false;
+    for (const analysis::QubitSensitivity &q : profile.qubits) {
+        const calibration::QubitCalibration &was =
+            baseline.qubit(q.qubit);
+        const calibration::QubitCalibration &is = now.qubit(q.qubit);
+        if (was.t1Us != is.t1Us || was.t2Us != is.t2Us ||
+            was.error1q != is.error1q ||
+            was.readoutError != is.readoutError)
+            return false;
+    }
+    for (const analysis::LinkSensitivity &l : profile.links) {
+        if (baseline.linkError(l.link) != now.linkError(l.link))
+            return false;
+    }
+    return true;
 }
 
 } // namespace vaq::test

@@ -2,8 +2,8 @@
  * @file
  * Compile-artifact record tests: keys, bit-exact serialization
  * round-trips, the corruption-tolerance contract (any damage is a
- * miss, never a throw), touched-set extraction and the delta-reuse
- * rule.
+ * miss, never a throw), touched-set extraction and the reuse rule
+ * (the certified staleness bound of the stored profile).
  */
 #include "store/artifact.hpp"
 
@@ -13,6 +13,7 @@
 #include <cmath>
 #include <limits>
 
+#include "analysis/staleness.hpp"
 #include "circuit/qasm.hpp"
 #include "core/mapper.hpp"
 #include "store_test_support.hpp"
@@ -113,12 +114,12 @@ TEST(Artifact, RoundTripsBitExactly)
               std::bit_cast<std::uint64_t>(artifact.analyticPst));
     EXPECT_EQ(back.mappedLintErrors, 1u);
     EXPECT_EQ(back.mappedLintWarnings, 2u);
-    EXPECT_EQ(back.touchedQubits, artifact.touchedQubits);
-    EXPECT_EQ(back.touchedLinks, artifact.touchedLinks);
-    EXPECT_EQ(back.qubitDeps, artifact.qubitDeps);
-    EXPECT_EQ(back.linkDeps, artifact.linkDeps);
-    EXPECT_EQ(back.qubitWeights, artifact.qubitWeights);
-    EXPECT_EQ(back.linkWeights, artifact.linkWeights);
+    // The profile round-trips: every recorded field re-serializes
+    // to the same bytes, and the derived ones rebuild bit-exactly.
+    EXPECT_EQ(serializeArtifact(key, back), text);
+    EXPECT_EQ(back.profile.opCount, artifact.profile.opCount);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back.profile.logPst),
+              std::bit_cast<std::uint64_t>(artifact.profile.logPst));
 
     // And the reconstructed MappedCircuit matches the original.
     const core::MappedCircuit rebuilt = toMapped(back);
@@ -205,7 +206,7 @@ TEST(Artifact, VersionSkewIsAMiss)
     // checking the constant is what the format writes.
     const Compiled c;
     std::string text = serializeArtifact(c.key(), c.artifact());
-    ASSERT_EQ(text.rfind("vaqart 2\n", 0), 0u);
+    ASSERT_EQ(text.rfind("vaqart 3\n", 0), 0u);
     text[7] = '9';
     EXPECT_FALSE(parseArtifact(text).has_value());
 }
@@ -217,131 +218,150 @@ TEST(Artifact, TouchedSetsComeFromTheMappedCircuit)
     // Every touched qubit/link is actually used by the physical
     // circuit, and the 3-qubit program cannot touch all 6 machine
     // qubits without swaps landing everywhere.
-    ASSERT_FALSE(artifact.touchedQubits.empty());
-    ASSERT_FALSE(artifact.touchedLinks.empty());
-    EXPECT_EQ(artifact.qubitDeps.size(),
-              artifact.touchedQubits.size() * 4);
-    EXPECT_EQ(artifact.linkDeps.size(),
-              artifact.touchedLinks.size());
-    for (const int q : artifact.touchedQubits) {
+    ASSERT_FALSE(artifact.profile.qubits.empty());
+    ASSERT_FALSE(artifact.profile.links.empty());
+    for (const analysis::QubitSensitivity &q :
+         artifact.profile.qubits) {
         bool used = false;
         for (const circuit::Gate &g : c.mapped.physical.gates())
-            used = used || g.touches(q);
-        EXPECT_TRUE(used) << "qubit " << q;
+            used = used || g.touches(q.qubit);
+        EXPECT_TRUE(used) << "qubit " << q.qubit;
     }
 }
 
-TEST(Artifact, ReusableUnderTracksOnlyTouchedHardware)
+/** Touched qubits / links of an artifact's profile. */
+std::vector<int>
+touchedQubits(const CompileArtifact &artifact)
+{
+    std::vector<int> qubits;
+    for (const analysis::QubitSensitivity &q : artifact.profile.qubits)
+        qubits.push_back(q.qubit);
+    return qubits;
+}
+
+std::vector<std::size_t>
+touchedLinks(const CompileArtifact &artifact)
+{
+    std::vector<std::size_t> links;
+    for (const analysis::LinkSensitivity &l : artifact.profile.links)
+        links.push_back(l.link);
+    return links;
+}
+
+TEST(Artifact, ReuseTracksOnlyTouchedHardware)
 {
     const Compiled c;
     const CompileArtifact artifact = c.artifact();
-    EXPECT_TRUE(reusableUnder(artifact, c.snapshot));
+    const auto parsed =
+        parseArtifact(serializeArtifact(c.key(), artifact));
+    ASSERT_TRUE(parsed.has_value());
+    // Reusable at tolerance 0: the certified bound of the profile
+    // read back from the record is exactly 0.
+    const auto reusable = [&](const calibration::Snapshot &snap) {
+        return analysis::assessStaleness(parsed->second.profile, snap)
+            .within(0.0);
+    };
+    const std::vector<int> qubits = touchedQubits(artifact);
+    const std::vector<std::size_t> links = touchedLinks(artifact);
+    EXPECT_TRUE(reusable(c.snapshot));
 
     // Find an untouched qubit (linear(6) with a 3-qubit program
     // always leaves some) and drift it: still reusable.
     int untouched = -1;
     for (int q = 0; q < c.graph.numQubits(); ++q) {
-        if (std::find(artifact.touchedQubits.begin(),
-                      artifact.touchedQubits.end(),
-                      q) == artifact.touchedQubits.end())
+        if (std::find(qubits.begin(), qubits.end(), q) ==
+            qubits.end())
             untouched = q;
     }
     ASSERT_GE(untouched, 0);
     calibration::Snapshot drifted = c.snapshot;
     drifted.qubit(untouched).t1Us *= 0.5;
     drifted.qubit(untouched).readoutError = 0.25;
-    EXPECT_TRUE(reusableUnder(artifact, drifted));
+    EXPECT_TRUE(reusable(drifted));
 
     // Drift a touched qubit: not reusable.
     calibration::Snapshot touched = c.snapshot;
-    touched.qubit(artifact.touchedQubits.front()).readoutError =
-        0.25;
-    EXPECT_FALSE(reusableUnder(artifact, touched));
+    touched.qubit(qubits.front()).readoutError = 0.25;
+    EXPECT_FALSE(reusable(touched));
 
     // Drift a touched link: not reusable.
     calibration::Snapshot link = c.snapshot;
-    link.setLinkError(artifact.touchedLinks.front(), 0.2);
-    EXPECT_FALSE(reusableUnder(artifact, link));
+    link.setLinkError(links.front(), 0.2);
+    EXPECT_FALSE(reusable(link));
 
     // An untouched link may drift freely.
     std::size_t freeLink = c.graph.linkCount();
     for (std::size_t l = 0; l < c.graph.linkCount(); ++l) {
-        if (std::find(artifact.touchedLinks.begin(),
-                      artifact.touchedLinks.end(),
-                      l) == artifact.touchedLinks.end())
+        if (std::find(links.begin(), links.end(), l) == links.end())
             freeLink = l;
     }
     if (freeLink < c.graph.linkCount()) {
         calibration::Snapshot other = c.snapshot;
         other.setLinkError(freeLink, 0.3);
-        EXPECT_TRUE(reusableUnder(artifact, other));
+        EXPECT_TRUE(reusable(other));
     }
 
     // Gate durations are dependencies too (coherence model).
     calibration::Snapshot slower = c.snapshot;
     slower.durations.twoQubitNs *= 2.0;
-    EXPECT_FALSE(reusableUnder(artifact, slower));
+    EXPECT_FALSE(reusable(slower));
 
     // Signed-zero drift is no drift at all.
     calibration::Snapshot zero = c.snapshot;
-    zero.setLinkError(artifact.touchedLinks.front(), 0.0);
+    zero.setLinkError(links.front(), 0.0);
     CompileArtifact zeroArtifact = artifact;
-    const auto it = std::find(zeroArtifact.touchedLinks.begin(),
-                              zeroArtifact.touchedLinks.end(),
-                              artifact.touchedLinks.front());
-    zeroArtifact
-        .linkDeps[it - zeroArtifact.touchedLinks.begin()] = -0.0;
-    EXPECT_TRUE(reusableUnder(zeroArtifact, zero));
+    zeroArtifact.profile.links.front().error2q = -0.0;
+    EXPECT_TRUE(analysis::assessStaleness(zeroArtifact.profile, zero)
+                    .within(0.0));
 }
 
-TEST(Artifact, StalenessAssessmentFromSerializedWeights)
+TEST(Artifact, StalenessAssessmentFromSerializedProfile)
 {
     const Compiled c;
     const CompileArtifact artifact = c.artifact();
-    ASSERT_EQ(artifact.qubitWeights.size(),
-              3 * artifact.touchedQubits.size());
-    ASSERT_EQ(artifact.linkWeights.size(),
-              artifact.touchedLinks.size());
+    const auto parsed =
+        parseArtifact(serializeArtifact(c.key(), artifact));
+    ASSERT_TRUE(parsed.has_value());
+    const analysis::SensitivityProfile &stored =
+        parsed->second.profile;
 
-    // Unchanged snapshot: bound exactly 0 (touched-set parity).
+    // Unchanged snapshot: bound exactly 0.
     {
         const auto assess =
-            assessArtifactStaleness(artifact, c.snapshot);
+            analysis::assessStaleness(stored, c.snapshot);
         EXPECT_TRUE(assess.certifiable);
         EXPECT_EQ(assess.bound(), 0.0);
     }
 
     // T2-only recalibration: provably harmless, bound exactly 0 —
-    // where reusableUnder() already gives up.
+    // where the touched-set predicate already gives up.
     {
         calibration::Snapshot t2 = c.snapshot;
         for (int q = 0; q < c.graph.numQubits(); ++q)
             t2.qubit(q).t2Us *= 0.5;
-        EXPECT_FALSE(reusableUnder(artifact, t2));
-        const auto assess = assessArtifactStaleness(artifact, t2);
+        EXPECT_FALSE(
+            test::touchedSetReusable(stored, c.snapshot, t2));
+        const auto assess = analysis::assessStaleness(stored, t2);
         EXPECT_TRUE(assess.certifiable);
         EXPECT_EQ(assess.bound(), 0.0);
     }
 
     // A small touched-parameter drift: finite bound containing the
-    // exact shift, and the round-tripped record assesses to the
-    // same certificate bit-for-bit.
+    // exact shift, and the round-tripped profile assesses to the
+    // same certificate bit-for-bit as the in-memory one.
     {
         calibration::Snapshot drifted = c.snapshot;
-        drifted.qubit(artifact.touchedQubits.front())
+        drifted.qubit(touchedQubits(artifact).front())
             .readoutError += 1e-5;
         const auto assess =
-            assessArtifactStaleness(artifact, drifted);
+            analysis::assessStaleness(artifact.profile, drifted);
         EXPECT_TRUE(assess.certifiable);
         EXPECT_TRUE(assess.anyDelta);
         EXPECT_GT(assess.bound(), 0.0);
         EXPECT_LE(std::abs(assess.deltaLogPst), assess.bound());
 
-        const auto parsed = parseArtifact(
-            serializeArtifact(c.key(), artifact));
-        ASSERT_TRUE(parsed.has_value());
         const auto reassessed =
-            assessArtifactStaleness(parsed->second, drifted);
+            analysis::assessStaleness(stored, drifted);
         EXPECT_EQ(reassessed.bound(), assess.bound());
         EXPECT_EQ(reassessed.deltaLogPst, assess.deltaLogPst);
     }
@@ -350,16 +370,17 @@ TEST(Artifact, StalenessAssessmentFromSerializedWeights)
     {
         calibration::Snapshot slower = c.snapshot;
         slower.durations.measureNs += 10.0;
-        EXPECT_FALSE(assessArtifactStaleness(artifact, slower)
-                         .certifiable);
+        EXPECT_FALSE(
+            analysis::assessStaleness(stored, slower).certifiable);
     }
 
-    // A record with malformed weight arrays (e.g. a version-skew
-    // survivor) is never certified.
+    // A profile naming hardware the snapshot does not have (a
+    // record from another machine shape) is never certified.
     {
-        CompileArtifact bad = artifact;
-        bad.qubitWeights.pop_back();
-        EXPECT_FALSE(assessArtifactStaleness(bad, c.snapshot)
+        CompileArtifact bad = parsed->second;
+        bad.profile.qubits.back().qubit = c.graph.numQubits();
+        EXPECT_FALSE(analysis::assessStaleness(bad.profile,
+                                               c.snapshot)
                          .certifiable);
     }
 }

@@ -2,12 +2,15 @@
  * @file
  * ArtifactStore tests: persistence with atomic publish, warm
  * starts, corruption degrading to misses, LRU eviction removing
- * files, and the delta-reuse lookup path.
+ * files, and the cross-cycle reuse path (the certified staleness
+ * bound: delta reuse at bound 0, bound reuse within tolerance).
  */
 #include "store/artifact_store.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <fstream>
 
 #include "core/mapper.hpp"
@@ -204,9 +207,11 @@ TEST_F(ArtifactStoreTest, DeltaReuseServesAcrossCycles)
     // New cycle drifting only hardware outside the touched set.
     int untouched = -1;
     for (int q = 0; q < graph.numQubits(); ++q) {
-        if (std::find(artifact.touchedQubits.begin(),
-                      artifact.touchedQubits.end(),
-                      q) == artifact.touchedQubits.end())
+        if (std::none_of(artifact.profile.qubits.begin(),
+                         artifact.profile.qubits.end(),
+                         [q](const analysis::QubitSensitivity &t) {
+                             return t.qubit == q;
+                         }))
             untouched = q;
     }
     ASSERT_GE(untouched, 0);
@@ -215,37 +220,28 @@ TEST_F(ArtifactStoreTest, DeltaReuseServesAcrossCycles)
     ASSERT_NE(keyFor(benign).combined(),
               keyFor(snapshot).combined());
 
-    bool viaDelta = false;
-    const auto hit =
-        store.getOrDelta(keyFor(benign), benign, &viaDelta);
+    DeltaServeInfo info;
+    const auto hit = store.getOrDelta(keyFor(benign), benign, info);
     ASSERT_TRUE(hit.has_value());
-    EXPECT_TRUE(viaDelta);
+    EXPECT_TRUE(info.viaDelta);
     EXPECT_EQ(store.stats().deltaReuse, 1u);
 
     // The alias makes the rest of the cycle exact, with no second
     // file on disk.
     const auto again =
-        store.getOrDelta(keyFor(benign), benign, &viaDelta);
+        store.getOrDelta(keyFor(benign), benign, info);
     ASSERT_TRUE(again.has_value());
-    EXPECT_FALSE(viaDelta);
+    EXPECT_FALSE(info.viaDelta);
     EXPECT_EQ(store.stats().exactHits, 1u);
     EXPECT_EQ(test::storeRecords(dir.path()).size(), 1u);
 
     // A cycle that drifts a touched link must miss.
     calibration::Snapshot breaking = snapshot;
-    breaking.setLinkError(artifact.touchedLinks.front(), 0.2);
-    EXPECT_FALSE(store
-                     .getOrDelta(keyFor(breaking), breaking,
-                                 &viaDelta)
+    breaking.setLinkError(artifact.profile.links.front().link, 0.2);
+    EXPECT_FALSE(store.getOrDelta(keyFor(breaking), breaking, info)
                      .has_value());
-    EXPECT_FALSE(viaDelta);
+    EXPECT_FALSE(info.viaDelta);
     EXPECT_EQ(store.stats().misses, 1u);
-
-    // Delta reuse can be disabled.
-    ArtifactStore strict(StoreOptions{.deltaReuse = false});
-    strict.put(keyFor(snapshot), artifact);
-    EXPECT_FALSE(
-        strict.getOrDelta(keyFor(benign), benign).has_value());
 }
 
 TEST_F(ArtifactStoreTest, BoundReuseServesCertifiedStaleness)
@@ -258,9 +254,10 @@ TEST_F(ArtifactStoreTest, BoundReuseServesCertifiedStaleness)
     // Drift a touched qubit's readout by 1e-6: the touched-set rule
     // misses, the certificate stays far within 1e-3.
     calibration::Snapshot drifted = snapshot;
-    drifted.qubit(artifact.touchedQubits.front()).readoutError +=
-        1e-6;
-    ASSERT_FALSE(reusableUnder(artifact, drifted));
+    drifted.qubit(artifact.profile.qubits.front().qubit)
+        .readoutError += 1e-6;
+    ASSERT_FALSE(
+        test::touchedSetReusable(artifact.profile, snapshot, drifted));
 
     DeltaServeInfo info;
     const auto hit =
@@ -296,7 +293,7 @@ TEST_F(ArtifactStoreTest, BoundReuseRespectsTheTolerance)
     const CompileArtifact artifact = compileArtifact();
 
     // T2-only recalibration certifies at bound 0 under any
-    // positive tolerance.
+    // tolerance.
     calibration::Snapshot t2Only = snapshot;
     for (int q = 0; q < graph.numQubits(); ++q)
         t2Only.qubit(q).t2Us *= 0.5;
@@ -304,16 +301,20 @@ TEST_F(ArtifactStoreTest, BoundReuseRespectsTheTolerance)
     // A hard excursion on a touched link exceeds every tolerance
     // in the sweep.
     calibration::Snapshot excursion = snapshot;
-    excursion.setLinkError(artifact.touchedLinks.front(), 0.2);
+    excursion.setLinkError(artifact.profile.links.front().link, 0.2);
 
     {
-        ArtifactStore store(StoreOptions{.stalenessTol = 1e-6});
+        StoreOptions options;
+        options.stalenessTol = 1e-6;
+        ArtifactStore store(options);
         store.put(keyFor(snapshot), artifact);
         DeltaServeInfo info;
         const auto hit =
             store.getOrDelta(keyFor(t2Only), t2Only, info);
         ASSERT_TRUE(hit.has_value());
-        EXPECT_TRUE(info.boundReuse);
+        // Bound 0 is a delta reuse, served unshifted.
+        EXPECT_TRUE(info.viaDelta);
+        EXPECT_FALSE(info.boundReuse);
         EXPECT_EQ(info.stalenessBound, 0.0);
         EXPECT_EQ(info.deltaLogPst, 0.0);
         EXPECT_DOUBLE_EQ(hit->analyticPst, artifact.analyticPst);
@@ -326,18 +327,27 @@ TEST_F(ArtifactStoreTest, BoundReuseRespectsTheTolerance)
         EXPECT_EQ(store.stats().misses, 1u);
     }
 
-    // tol = 0 (the default) disables the fallback entirely — the
-    // legacy touched-set behavior, even for the provably harmless
-    // T2-only cycle.
+    // tol = 0 (the default) still serves the provably harmless
+    // T2-only cycle: bound 0, PST bit-identical, aliased under the
+    // new key and flagged viaDelta — never a bound reuse.
     {
         ArtifactStore store(StoreOptions{});
         store.put(keyFor(snapshot), artifact);
         DeltaServeInfo info;
-        EXPECT_FALSE(
-            store.getOrDelta(keyFor(t2Only), t2Only, info)
-                .has_value());
+        const auto hit =
+            store.getOrDelta(keyFor(t2Only), t2Only, info);
+        ASSERT_TRUE(hit.has_value());
+        EXPECT_TRUE(info.viaDelta);
         EXPECT_FALSE(info.boundReuse);
+        EXPECT_EQ(info.stalenessBound, 0.0);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(hit->analyticPst),
+                  std::bit_cast<std::uint64_t>(artifact.analyticPst));
+        EXPECT_EQ(store.stats().deltaReuse, 1u);
         EXPECT_EQ(store.stats().boundReuse, 0u);
+        ASSERT_TRUE(store.getOrDelta(keyFor(t2Only), t2Only, info)
+                        .has_value());
+        EXPECT_FALSE(info.viaDelta);
+        EXPECT_EQ(store.stats().exactHits, 1u);
     }
 }
 
@@ -349,8 +359,9 @@ TEST_F(ArtifactStoreTest, DifferentPolicyNeverCrossesOver)
     const ArtifactKey otherKey =
         makeArtifactKey(logical, graph, snapshot, other);
     EXPECT_FALSE(store.get(otherKey).has_value());
+    DeltaServeInfo info;
     EXPECT_FALSE(
-        store.getOrDelta(otherKey, snapshot).has_value());
+        store.getOrDelta(otherKey, snapshot, info).has_value());
 }
 
 } // namespace

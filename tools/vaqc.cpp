@@ -122,9 +122,10 @@ struct Options
     /** `vaqc sens`: synthetic calibration cycles to advance past
      *  the baseline before assessing staleness. */
     std::size_t driftCycles = 1;
-    /** `vaqc sens`: reuse verdict threshold on the certified
-     *  |delta logPST| bound. */
-    double stalenessTol = 1e-3;
+    /** --staleness-tol: the certified |delta logPST| bound the
+     *  artifact store reuses within (0 without the flag) and the
+     *  `vaqc sens` verdict threshold (1e-3 without the flag). */
+    std::optional<double> stalenessTol;
     std::string sensFormat = "text";
     std::string sensOut;
     bool lintPhysical = false;
@@ -174,9 +175,13 @@ printUsage()
         "reuse prior results\n"
         "                       keyed on (circuit, calibration, "
         "machine, policy) content,\n"
-        "                       incl. delta reuse across "
+        "                       incl. reuse across "
         "calibration cycles; fresh\n"
         "                       compiles are recorded into DIR\n"
+        "  --staleness-tol X    serve a stored mapping across "
+        "cycles when its certified\n"
+        "                       |dlogPST| bound is <= X "
+        "(default 0: unchanged PST only)\n"
         "  --store-stats        print artifact-store counters "
         "after the run\n"
         "  --machine NAME       q20 (default) | q5 | falcon27 | "
@@ -492,6 +497,7 @@ openArtifactStore(const Options &options)
         return nullptr;
     store::StoreOptions storeOptions;
     storeOptions.directory = options.storeDir;
+    storeOptions.stalenessTol = options.stalenessTol.value_or(0.0);
     return std::make_unique<store::ArtifactStore>(storeOptions);
 }
 
@@ -660,7 +666,8 @@ runSens(const Options &options)
         compiled.mapped.physical, baseline.durations);
     analysis::SensReport report;
     report.artifact = qasmPath;
-    report.stalenessTol = options.stalenessTol;
+    const double stalenessTol = options.stalenessTol.value_or(1e-3);
+    report.stalenessTol = stalenessTol;
     report.profile =
         analysis::analyzeSensitivity(dataflow, machine, baseline);
     if (cycles.size() > 1) {
@@ -698,7 +705,7 @@ runSens(const Options &options)
         analysis::LintOptions lintOptions =
             lintOptionsFor(options);
         lintOptions.enabledOnly = {"VL011", "VL012", "VL013"};
-        lintOptions.params.stalenessTol = options.stalenessTol;
+        lintOptions.params.stalenessTol = stalenessTol;
         const analysis::Linter linter(lintOptions);
         analysis::LintInput input;
         input.circuit = &compiled.mapped.physical;
@@ -726,7 +733,7 @@ runSens(const Options &options)
                   << options.sensFormat << ")\n";
     }
     return report.hasAssessment &&
-                   !report.assessment.within(options.stalenessTol)
+                   !report.assessment.within(stalenessTol)
                ? 1
                : 0;
 }
