@@ -385,13 +385,18 @@ BM_StrongestSubgraph(benchmark::State &state)
     }
     const graph::WeightedGraph strength(
         env().machine.numQubits(), edges);
+    const auto score = state.range(1) == 0
+                           ? graph::SubgraphScore::InducedWeight
+                           : graph::SubgraphScore::FullStrength;
     for (auto _ : state) {
         benchmark::DoNotOptimize(graph::bestConnectedSubgraph(
             strength, static_cast<std::size_t>(state.range(0)),
-            graph::SubgraphScore::InducedWeight));
+            score));
     }
 }
-BENCHMARK(BM_StrongestSubgraph)->Arg(4)->Arg(8)->Arg(10)->Unit(
-    benchmark::kMillisecond);
+// Args: {k, score}; score 0 = InducedWeight, 1 = FullStrength.
+BENCHMARK(BM_StrongestSubgraph)
+    ->ArgsProduct({{4, 8, 10, 12, 14, 16, 20}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace

@@ -189,6 +189,18 @@ require(bool cond, const std::string &msg)
         throw VaqError(msg);
 }
 
+/**
+ * The same for a literal message. Without this overload every call
+ * site would build a std::string, and pay a heap allocation for any
+ * message past the small-string buffer, even when `cond` holds.
+ */
+inline void
+require(bool cond, const char *msg)
+{
+    if (!cond)
+        throw VaqError(msg);
+}
+
 } // namespace vaq
 
 /**

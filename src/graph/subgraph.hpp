@@ -42,10 +42,21 @@ bool isConnectedSubset(const WeightedGraph &graph,
 /**
  * Best connected k-node subgraph under `score`.
  *
- * Uses exhaustive enumeration of connected k-subsets when the
+ * Uses an exact search over the connected k-subsets when the
  * combination count is small enough (the IBM-Q20 cases all are), and
- * falls back to greedy seeded growth plus 1-swap local search on
- * larger machines. Returns node ids in ascending order.
+ * falls back to greedy seeded growth on larger machines. Returns node
+ * ids in ascending order.
+ *
+ * The exact search enumerates connected sets in a fixed order and
+ * keeps the first one with the highest score (ties go to the set
+ * visited first). It is branch-and-bound: a branch is cut when too
+ * few nodes are reachable to complete it, or when an upper bound on
+ * every completion's score falls strictly below (by more than a
+ * rounding margin) the best score known: the incumbent's, or that of
+ * a greedily grown connected set. A cut branch holds only sets
+ * scoring below the maximum, which could never have been returned,
+ * so the result is the one full enumeration returns, tie included.
+ * Search nodes make no heap allocations.
  *
  * @throws VaqError when k is out of range or no connected k-subset
  *         exists.
@@ -56,9 +67,12 @@ std::vector<int> bestConnectedSubgraph(
 
 /**
  * The `count` best-scoring connected k-node subgraphs, best first
- * (fewer are returned when fewer exist). Uses the same exhaustive /
- * greedy strategy split as bestConnectedSubgraph. Used by the
- * machine-partitioning study to rank candidate regions.
+ * (fewer are returned when fewer exist). Ranks by score, then by
+ * ascending node list. Uses the same exact / greedy strategy split
+ * and the same bound as bestConnectedSubgraph, cutting against the
+ * count-th best once `count` sets are held, so the output equals the
+ * full enumeration's. Used by the machine-partitioning study to rank
+ * candidate regions.
  */
 std::vector<std::vector<int>> topConnectedSubgraphs(
     const WeightedGraph &graph, std::size_t k, std::size_t count,

@@ -27,6 +27,18 @@ namespace
  */
 constexpr std::size_t kAdaptiveWaveChunks = 8;
 
+/**
+ * One value per 64-byte cache line. Workers write their chunk's RNG
+ * stream and output on every trial; packed contiguously, neighbouring
+ * chunks would share lines and every write would bounce them between
+ * cores (false sharing).
+ */
+template <typename T>
+struct alignas(64) CacheLinePadded
+{
+    T value;
+};
+
 } // namespace
 
 ParallelFaultSim::ParallelFaultSim(std::size_t threads)
@@ -65,8 +77,8 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
     Rng master(options.seed);
 
     detail::TrialTally total;
-    std::vector<Rng> streams;
-    std::vector<detail::TrialTally> tallies;
+    std::vector<CacheLinePadded<Rng>> streams;
+    std::vector<CacheLinePadded<detail::TrialTally>> tallies;
     for (std::size_t first = 0; first < numChunks;
          first += waveChunks) {
         const std::size_t count =
@@ -75,9 +87,9 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
         streams.clear();
         streams.reserve(count);
         for (std::size_t i = 0; i < count; ++i)
-            streams.push_back(master.split());
+            streams.push_back({master.split()});
 
-        tallies.assign(count, detail::TrialTally{});
+        tallies.assign(count, {});
         _pool.parallelFor(count, [&](std::size_t i) {
             obs::ScopedTimer chunkTimer("sim.chunk.seconds",
                                         telemetry);
@@ -85,13 +97,14 @@ ParallelFaultSim::run(const Circuit &physical, const NoiseModel &model,
                 (first + i) * options.chunkTrials;
             const std::size_t n = std::min(
                 options.chunkTrials, options.trials - begin);
-            tallies[i] = detail::simulateChunk(probs, n, streams[i]);
+            tallies[i].value =
+                detail::simulateChunk(probs, n, streams[i].value);
         });
 
         // Reduce in chunk order — the merge sequence, like the
         // streams, never depends on which worker ran which chunk.
-        for (const detail::TrialTally &t : tallies)
-            total.merge(t);
+        for (const auto &t : tallies)
+            total.merge(t.value);
 
         if (adaptive &&
             detail::pstStandardError(total.successes,
@@ -211,8 +224,8 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
     detail::TrialTally total;
     ShotCounts histogram;
     histogram.measuredMask = mask;
-    std::vector<Rng> streams;
-    std::vector<ChunkOutput> outputs;
+    std::vector<CacheLinePadded<Rng>> streams;
+    std::vector<CacheLinePadded<ChunkOutput>> outputs;
     for (std::size_t first = 0; first < numChunks;
          first += waveChunks) {
         const std::size_t count =
@@ -221,9 +234,9 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
         streams.clear();
         streams.reserve(count);
         for (std::size_t i = 0; i < count; ++i)
-            streams.push_back(master.split());
+            streams.push_back({master.split()});
 
-        outputs.assign(count, ChunkOutput{});
+        outputs.assign(count, {});
         _pool.parallelFor(count, [&](std::size_t i) {
             obs::ScopedTimer chunkTimer("sim.chunk.seconds",
                                         telemetry);
@@ -231,8 +244,8 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
                 (first + i) * options.chunkTrials;
             const std::size_t n = std::min(
                 options.chunkTrials, options.trials - begin);
-            Rng &rng = streams[i];
-            ChunkOutput &out = outputs[i];
+            Rng &rng = streams[i].value;
+            ChunkOutput &out = outputs[i].value;
             for (std::size_t t = 0; t < n; ++t) {
                 const std::uint64_t outcome =
                     frame ? frame->runShot(rng)
@@ -247,7 +260,8 @@ ParallelFaultSim::runOutcomeChecked(const Circuit &physical,
         });
 
         // Reduce in chunk order (thread-count invariant).
-        for (const ChunkOutput &out : outputs) {
+        for (const auto &padded : outputs) {
+            const ChunkOutput &out = padded.value;
             total.merge(out.tally);
             for (const auto &[outcome, n] : out.counts)
                 histogram.counts[outcome] += n;

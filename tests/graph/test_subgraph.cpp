@@ -151,6 +151,20 @@ TEST(Subgraph, ThrowsWhenNoConnectedSubsetExists)
     EXPECT_THROW(bestConnectedSubgraph(g, 5), VaqError);
 }
 
+TEST(Subgraph, NegativeScoresStillFindASubgraph)
+{
+    // Every connected pair scores below zero under both rules; the
+    // search must still return the best one rather than none.
+    const WeightedGraph g(3, {{0, 1, -2.0}, {1, 2, -3.0}});
+    for (const SubgraphScore score :
+         {SubgraphScore::FullStrength, SubgraphScore::InducedWeight}) {
+        EXPECT_EQ(bestConnectedSubgraph(g, 2, score),
+                  (std::vector<int>{0, 1}));
+        EXPECT_EQ(topConnectedSubgraphs(g, 2, 5, score),
+                  (std::vector<std::vector<int>>{{0, 1}, {1, 2}}));
+    }
+}
+
 TEST(Subgraph, TopSubgraphsAreSortedAndUnique)
 {
     Rng rng(33);
